@@ -24,6 +24,35 @@ func stripEnginePrefix(err error) string {
 	return s
 }
 
+// frameReuse has a callee write its local array and return, then a
+// sibling call with the same frame shape read its own never-written
+// slots, which sit at the addresses the first call just released. At O0
+// both engines must read zero there (frameReuseWant): frame addresses
+// are reused and allocation clears the range it hands out.
+var frameReuse = workload.Program{Name: "frame-reuse", Source: `
+int fill(int k) {
+  int buf[64];
+  for (int i = 0; i < 64; i++) buf[i] = k + i;
+  return buf[k & 63];
+}
+int peek(int k) {
+  int buf[64];
+  int s = 0;
+  for (int i = 0; i < 64; i++) s += buf[i] * (i + k);
+  return s;
+}
+int main() {
+  int filled = 0, stale = 0;
+  for (int n = 1; n <= 8; n++) {
+    filled += fill(n);
+    stale += peek(n);
+  }
+  return filled * 1000 + stale;
+}
+`}
+
+const frameReuseWant = 72 * 1000
+
 // equivCorpus is the full evaluation corpus the vm must match the
 // tree-walker on: every workload program plus the minimized fuzz
 // regressions.
@@ -34,7 +63,7 @@ func equivCorpus(t *testing.T) []workload.Program {
 	progs = append(progs, workload.PolybenchKernels()...)
 	progs = append(progs, workload.ExtraPolybenchKernels()...)
 	progs = append(progs,
-		workload.RestrictScale(), workload.AnnotatedScale(), workload.PartialOverlapKernel())
+		workload.RestrictScale(), workload.AnnotatedScale(), workload.PartialOverlapKernel(), frameReuse)
 	for _, cs := range workload.Fig2CaseStudies() {
 		progs = append(progs, cs.Program)
 	}
@@ -97,6 +126,14 @@ func TestEngineEquivalence(t *testing.T) {
 				if tCyc != vCyc {
 					t.Errorf("%s: cycle divergence: tree=%v vm=%v (Δ=%v)",
 						cc.name, tCyc, vCyc, vCyc-tCyc)
+				}
+				// Only O0 pins clear-on-alloc: peek reads locals it never
+				// wrote, which C leaves undefined, so the optimizer may fold
+				// those loads to anything. Optimized builds still have to
+				// agree across engines above.
+				if p.Name == frameReuse.Name && cc.name == "O0" && tRes != frameReuseWant {
+					t.Errorf("%s: result %d, want %d: a reused frame slot did not read as zero",
+						cc.name, tRes, frameReuseWant)
 				}
 			}
 		})

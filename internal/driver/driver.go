@@ -318,10 +318,12 @@ func (c *Compilation) RunSanitized(entry string) ([]*interp.SanitizerFailure, er
 	_, err := m.RunArgs(entry)
 	stop()
 	m.Report(c.cfg.Telemetry)
+	fails := m.SanitizerFailures()
+	m.Release()
 	if err != nil {
 		return nil, err
 	}
-	return m.SanitizerFailures(), nil
+	return fails, nil
 }
 
 // Speedup compiles src under baseline and OOElala configurations, runs

@@ -34,6 +34,9 @@ type Machine interface {
 	ReadI64(addr int64) int64
 	WriteF64(addr int64, v float64)
 	WriteI64(addr int64, v int64)
+	// Release recycles the machine's memory image; the machine must not
+	// run again afterwards, but results already read stay valid.
+	Release()
 }
 
 var defaultEngine atomic.Value // string
@@ -70,7 +73,11 @@ func (c *Compilation) engine() string {
 // first use and caching it — the whole point of the vm leg is that one
 // compile amortizes over many runs.
 func (c *Compilation) Program() *vm.Program {
-	c.vmOnce.Do(func() { c.vmProg = vm.Compile(c.Module) })
+	c.vmOnce.Do(func() {
+		stop := c.cfg.Telemetry.Span("phase/vm_compile")
+		c.vmProg = vm.Compile(c.Module)
+		stop()
+	})
 	return c.vmProg
 }
 
@@ -104,9 +111,7 @@ func (c *Compilation) RunOn(engine, entry string, args ...int64) (int64, float64
 	cycles := m.TotalCycles()
 	// The machine is dead past this point; a vm machine recycles its
 	// memory image so repeated runs stop allocating one per leg.
-	if r, ok := m.(interface{ Release() }); ok {
-		r.Release()
-	}
+	m.Release()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -44,8 +44,6 @@ func (c *Compilation) ProfileRun(engine, entry string, args ...int64) (int64, fl
 		eng = c.engine()
 	}
 	prof := &profile.Profile{Unit: c.Name, Engine: eng, Samples: p.ProfileSamples()}
-	if r, ok := m.(interface{ Release() }); ok {
-		r.Release()
-	}
+	m.Release()
 	return v, cycles, prof, nil
 }

@@ -48,9 +48,11 @@ func TestRemarkUnseqAttribution(t *testing.T) {
 	cfg := telemetry.Config{Metrics: true, Timing: true, Remarks: true}
 
 	tel := telemetry.New(cfg)
-	if _, err := Compile("minmax.c", minmaxSrc, Config{OOElala: true, Telemetry: tel}); err != nil {
+	c, err := Compile("minmax.c", minmaxSrc, Config{OOElala: true, Telemetry: tel})
+	if err != nil {
 		t.Fatal(err)
 	}
+	c.Program()
 	snap := tel.Snapshot()
 	if got := countUnseqRemarks(snap); got == 0 {
 		t.Fatalf("OOElala compile produced no unseq-aa-attributed remarks; all remarks: %+v", snap.Remarks)
@@ -80,7 +82,7 @@ func TestRemarkUnseqAttribution(t *testing.T) {
 	for _, d := range snap.Durations {
 		phases[d.Name] = true
 	}
-	for _, want := range []string{"phase/parse", "phase/sema", "phase/ooe", "phase/irgen", "phase/opt", "phase/verify"} {
+	for _, want := range []string{"phase/parse", "phase/sema", "phase/ooe", "phase/irgen", "phase/opt", "phase/verify", "phase/vm_compile"} {
 		if !phases[want] {
 			t.Errorf("missing phase span %s; have %v", want, phases)
 		}

@@ -247,6 +247,12 @@ func (m *Machine) alloc(size int64) int64 {
 	if m.nextAddr >= FuncAddrBase {
 		panic("interp: data allocation overflowed into the function pseudo-address range")
 	}
+	// call pops each frame's allocations on return, so [a, nextAddr) may
+	// hold a returned frame's cells; drop them so the range reads as zero
+	// like a fresh one.
+	for k := a; k < m.nextAddr; k++ {
+		delete(m.mem, k)
+	}
 	return a
 }
 
@@ -294,6 +300,10 @@ func (m *Machine) WriteF64(addr int64, v float64) { m.mem[addr] = cell{F: v, Fl:
 
 // WriteI64 writes an integer cell.
 func (m *Machine) WriteI64(addr int64, v int64) { m.mem[addr] = cell{I: v} }
+
+// Release is a no-op: the tree-walker's map memory is not pooled. It
+// exists so both engines share the driver's run-leg surface.
+func (m *Machine) Release() {}
 
 // Run calls the named function with integer/float arguments.
 func (m *Machine) Run(name string, args ...Val) (Val, error) {
@@ -368,6 +378,10 @@ func (m *Machine) icachePenalized(f *ir.Func) bool {
 // call executes one function activation.
 func (m *Machine) call(f *ir.Func, args []Val) (Val, error) {
 	m.Cycles += m.costs.CallBase
+	// Data allocation is stack-disciplined: the activation's allocas are
+	// popped on every exit, so the next call reuses their addresses.
+	mark := m.nextAddr
+	defer func() { m.nextAddr = mark }()
 	regs := make(map[ir.Value]Val, 32)
 	for i, p := range f.Params {
 		if i < len(args) {

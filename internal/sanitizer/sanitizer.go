@@ -109,11 +109,13 @@ func CheckWith(name, src string, files map[string]string, entry string,
 	res, err := m.RunArgs(entry)
 	stop()
 	m.Report(tel)
+	fails := m.SanitizerFailures()
+	m.Release()
 	if err != nil {
 		return rep, err
 	}
 	rep.Result = res
-	rep.Failures = convertFailures(m.SanitizerFailures(), c.Module)
+	rep.Failures = convertFailures(fails, c.Module)
 	return rep, nil
 }
 

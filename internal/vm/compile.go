@@ -6,8 +6,9 @@
 // the vm reuses interp's exported value model (interp.Val, ScalarBin,
 // CompareVals, ConvertVal, CallBuiltin, Lane) and the canonical ir
 // kernels, performs the same float cycle additions in the same order,
-// and reproduces interp's address assignment exactly (same bump
-// allocator, same reserved function pseudo-address table).
+// and reproduces interp's address assignment exactly (same global
+// layout, same stack-disciplined frame allocator, same reserved function
+// pseudo-address table).
 package vm
 
 import (
@@ -182,8 +183,8 @@ type Program struct {
 	funcNames map[int64]string
 	consts    []Val
 	globals   map[string]int64
-	// memTop is the bump-allocator position after globals; Machines
-	// resume allocating from here, exactly like a fresh interp.Machine.
+	// memTop is the allocator position after globals; Machines start
+	// allocating frames from here, exactly like a fresh interp.Machine.
 	memTop     int64
 	globalInit []initCell
 	// memPool recycles memory images across Machines of this program:
@@ -223,7 +224,7 @@ func Compile(mod *ir.Module) *Program {
 	c := &compiler{p: p, constIdx: make(map[constKey]int32)}
 	c.funcAddrs, p.funcNames = interp.BuildFuncTable(mod)
 
-	// Lay out globals with the same bump allocator as interp.New so
+	// Lay out globals with the same allocation rule as interp.New so
 	// every address the two engines hand out is identical.
 	next := int64(memBase)
 	alloc := func(size int64) int64 {

@@ -33,10 +33,14 @@ type Machine struct {
 	costTab [256]float64
 	icache  []bool
 
-	// mem is the dense typed memory image covering [memBase, nextAddr);
-	// the bump allocator never reuses addresses so the image only grows.
-	// Out-of-image (wild) addresses fall back to a map, preserving the
-	// interpreter's anything-goes sparse store semantics.
+	// mem is the dense typed memory image covering [memBase, nextAddr).
+	// Frame data is allocated stack-fashion: callFn records nextAddr on
+	// entry and restores it on exit, so a returned frame's addresses are
+	// reused by the next call and the image is sized by the deepest call
+	// chain, not by the call count. alloc clears what it hands out, so a
+	// reused slot reads as zero like a fresh one. Out-of-image (wild)
+	// addresses fall back to a map, preserving the interpreter's
+	// anything-goes sparse store semantics.
 	mem      []cell
 	wild     map[int64]cell
 	nextAddr int64
@@ -131,7 +135,10 @@ func (m *Machine) acquireFrame(fc *fnCode) *frame {
 	return fr
 }
 
-func (m *Machine) releaseFrame(fc *fnCode, fr *frame) {
+// releaseFrame pools the activation's frame and pops its data
+// allocations by resetting the allocator to mark, its value on entry.
+func (m *Machine) releaseFrame(fc *fnCode, fr *frame, mark int64) {
+	m.nextAddr = mark
 	clear(fr.regs)
 	clear(fr.allocas)
 	clear(fr.argBuf)
@@ -143,7 +150,7 @@ func (m *Machine) releaseFrame(fc *fnCode, fr *frame) {
 }
 
 // New prepares a machine over a compiled program: builds the cost
-// table, materializes the global image, and resumes the bump allocator
+// table, materializes the global image, and starts the frame allocator
 // where the global layout left off.
 func New(p *Program, costs interp.CostModel) *Machine {
 	m := &Machine{
@@ -215,6 +222,7 @@ func (m *Machine) alloc(size int64) int64 {
 		copy(grown, m.mem)
 		m.mem = grown
 	}
+	clear(m.mem[a-memBase : m.nextAddr-memBase])
 	return a
 }
 
@@ -402,8 +410,10 @@ func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, rerr error) {
 	}
 	// Frames (register file, lazy alloca table, lane buffers) are pooled
 	// per function; a released frame reads exactly like a fresh one.
+	// Releasing also pops the activation's allocas, on every exit path.
+	mark := m.nextAddr
 	fr := m.acquireFrame(fc)
-	defer m.releaseFrame(fc, fr)
+	defer m.releaseFrame(fc, fr, mark)
 	regs := fr.regs
 	for i := 0; i < fc.nParams && i < len(args); i++ {
 		regs[i] = args[i]

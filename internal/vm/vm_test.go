@@ -7,6 +7,10 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/irgen"
+	"repro/internal/ooe"
+	"repro/internal/parser"
+	"repro/internal/sema"
 )
 
 // buildModule mirrors the interpreter's test module: f(x) = x*3 + g,
@@ -223,5 +227,72 @@ func TestStepBudget(t *testing.T) {
 	_, err := mv.RunArgs("spin")
 	if err == nil || !strings.Contains(err.Error(), "step budget") {
 		t.Fatalf("want step budget error, got %v", err)
+	}
+}
+
+// compileO0 lowers C source to unoptimized IR, where every local is an
+// alloca.
+func compileO0(t *testing.T, src string) *ir.Module {
+	t.Helper()
+	tu, perrs := parser.ParseFile("t.c", src, nil)
+	for _, e := range perrs {
+		t.Fatalf("parse: %v", e)
+	}
+	for _, e := range sema.Check(tu) {
+		t.Fatalf("sema: %v", e)
+	}
+	reports := ooe.New(ooe.Config{}, ooe.FuncMap(tu)).AnalyzeUnit(tu)
+	mod, errs := irgen.Generate(tu, reports, irgen.Options{})
+	for _, e := range errs {
+		t.Fatalf("irgen: %v", e)
+	}
+	return mod
+}
+
+// TestFrameAllocasReclaimed pins the stack-disciplined frame allocator:
+// 10^4 calls to a helper with a 1 KiB local array must reuse one
+// frame's addresses, so the memory image stays within a few frames
+// instead of growing with the call count. Each call also reads the slot
+// its predecessor wrote at the same address, which must read as zero.
+// That read is of a never-written local, undefined in C, so the module
+// stays unoptimized: at O0 every load reaches memory and the engines'
+// zero-on-alloc rule decides it. Result, cycles and retired count must
+// match the tree-walker.
+func TestFrameAllocasReclaimed(t *testing.T) {
+	mod := compileO0(t, `
+int helper(int k) {
+  int buf[256];
+  buf[k & 255] = k + 1;
+  return buf[k & 255] + buf[(k + 255) & 255];
+}
+int main() {
+  int s = 0;
+  for (int n = 0; n < 10000; n++) s += helper(n);
+  return s;
+}`)
+	mi := interp.New(mod, interp.DefaultCosts())
+	p := Compile(mod)
+	mv := New(p, interp.DefaultCosts())
+	ri, err := mi.RunArgs("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, err := mv.RunArgs("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri != rv || mi.Cycles != mv.Cycles || mi.Executed != mv.Executed {
+		t.Fatalf("divergence: interp=(%d, %v, %d) vm=(%d, %v, %d)",
+			ri, mi.Cycles, mi.Executed, rv, mv.Cycles, mv.Executed)
+	}
+	if want := int64(10000 * 10001 / 2); rv != want {
+		t.Errorf("main() = %d want %d (a reused slot did not read as zero)", rv, want)
+	}
+	perCall := int64(256*4 + 32)
+	if got := int64(len(mv.mem)) - (p.memTop - memBase); got > 4*perCall {
+		t.Errorf("memory image holds %d cells past the globals after 10^4 calls, want at most %d (4 frames)", got, 4*perCall)
+	}
+	if mv.nextAddr != p.memTop {
+		t.Errorf("allocator at %#x after main returned, want %#x", mv.nextAddr, p.memTop)
 	}
 }
