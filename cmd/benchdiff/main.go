@@ -4,7 +4,6 @@
 //
 //	benchdiff [-tolerance pct] baseline.json current.json
 //	benchdiff -metrics [-tolerance pct] baseline-metrics.json current-metrics.json
-//	benchdiff -serve [-tolerance pct] [-min-hit-rate pct] [-min-tus n] cold.json warm.json
 //	benchdiff -gobench [-tolerance pct] baseline-bench.txt current-bench.txt
 //
 // Table 4 rows regress when a kernel's speedup drops more than the
@@ -12,22 +11,14 @@
 // OOElala cycle count grows more than the tolerance above the
 // baseline's. A kernel or bench present in the baseline but missing
 // from the current run is also a failure (a silently dropped benchmark
-// must not pass the gate). Exit status: 0 ok, 1 regression, 2 usage.
+// must not pass the gate). Exit status: 0 ok, 1 regression, 2 usage
+// (not two inputs, or more than one mode flag).
 //
 // With -metrics, the inputs are instead two -metrics-json exports (from
 // any telemetry-carrying CLI run with -time-passes) and the diff is over
 // per-span wall-clock timing: a phase or pass span whose total time grew
 // more than the tolerance regresses, and a span present in the baseline
 // but missing from the current run fails the gate.
-//
-// With -serve, the inputs are two ooeload replay reports (typically a
-// cold run and a warm run against one daemon) and the gate is
-// service-level: the corpus digests must match byte-for-byte (cached
-// artifacts identical to freshly-compiled ones), neither run may have
-// request errors or integrity failures, the current run's throughput
-// must not fall more than the tolerance below the baseline's, and the
-// optional absolute floors -min-hit-rate (percent) and -min-tus
-// (TUs/sec) apply to the current run.
 //
 // With -gobench, the inputs are two `go test -bench` output captures
 // and the diff is over wall-clock ns/op: repeated -count runs collapse
@@ -50,7 +41,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/obsserver"
 )
@@ -74,10 +64,7 @@ type table6Row struct {
 func main() {
 	tol := flag.Float64("tolerance", 10, "allowed regression in percent")
 	metrics := flag.Bool("metrics", false, "diff per-span timing from two -metrics-json files instead of bench tables")
-	serveMode := flag.Bool("serve", false, "gate two ooeload replay reports (cold, warm) instead of bench tables")
 	gobench := flag.Bool("gobench", false, "diff ns/op from two `go test -bench` output files instead of bench tables")
-	minHitRate := flag.Float64("min-hit-rate", 0, "with -serve: minimum cache hit-rate (percent) for the current run")
-	minTUs := flag.Float64("min-tus", 0, "with -serve: minimum throughput (TUs/sec) for the current run")
 	obs := obsserver.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	var telCfg telemetry.Config
@@ -87,8 +74,8 @@ func main() {
 		fatal(err)
 	}
 	defer obsHandle.Close()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-metrics|-serve] [-tolerance pct] baseline.json current.json")
+	if flag.NArg() != 2 || *metrics && *gobench {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-metrics|-gobench] [-tolerance pct] baseline current")
 		obsserver.Exit(2)
 	}
 	if *metrics {
@@ -97,10 +84,6 @@ func main() {
 	}
 	if *gobench {
 		diffGoBench(flag.Arg(0), flag.Arg(1), *tol)
-		return
-	}
-	if *serveMode {
-		diffServe(flag.Arg(0), flag.Arg(1), *tol, *minHitRate, *minTUs)
 		return
 	}
 	base, err := load(flag.Arg(0))
@@ -172,9 +155,6 @@ type phaseRow struct {
 	TotalNS int64  `json:"total_ns"`
 }
 
-// diffMetrics compares per-span wall-clock totals between two
-// -metrics-json exports. A span's total growing beyond tol percent is a
-// regression, as is a baseline span missing from the current run.
 // diffGoBench compares two `go test -bench` output files by ns/op.
 // Repeated runs of one benchmark (from -count=N) collapse to their
 // minimum — the standard robust estimator against scheduler noise — and
@@ -272,6 +252,9 @@ func loadGoBench(path string) (map[string]float64, error) {
 	return out, nil
 }
 
+// diffMetrics compares per-span wall-clock totals between two
+// -metrics-json exports. A span's total growing beyond tol percent is a
+// regression, as is a baseline span missing from the current run.
 func diffMetrics(basePath, curPath string, tol float64) {
 	base, err := loadMetrics(basePath)
 	if err != nil {
@@ -310,72 +293,6 @@ func diffMetrics(basePath, curPath string, tol float64) {
 		obsserver.Exit(1)
 	}
 	fmt.Printf("benchdiff: all spans within %.1f%% tolerance\n", tol)
-}
-
-// diffServe gates a current ooeload replay report against a baseline
-// one (see the package comment for the rules). Reports are
-// serve.LoadReport JSON as written by `ooeload -report`.
-func diffServe(basePath, curPath string, tol, minHitRate, minTUs float64) {
-	base, err := loadServe(basePath)
-	if err != nil {
-		fatal(err)
-	}
-	cur, err := loadServe(curPath)
-	if err != nil {
-		fatal(err)
-	}
-	regressions := 0
-	check := func(ok bool, format string, args ...any) {
-		status := "ok"
-		if !ok {
-			status = "REGRESSION"
-			regressions++
-		}
-		fmt.Printf("serve    %-44s %s\n", fmt.Sprintf(format, args...), status)
-	}
-	check(base.Errors == 0 && base.IntegrityFailures == 0,
-		"baseline errors=%d integrity=%d", base.Errors, base.IntegrityFailures)
-	check(cur.Errors == 0 && cur.IntegrityFailures == 0,
-		"current errors=%d integrity=%d", cur.Errors, cur.IntegrityFailures)
-	check(base.CorpusDigest != "" && base.CorpusDigest == cur.CorpusDigest,
-		"artifact corpus digests match")
-	if base.TUsPerSec > 0 {
-		delta := 100 * (cur.TUsPerSec - base.TUsPerSec) / base.TUsPerSec
-		check(delta >= -tol, "throughput %.1f -> %.1f TUs/sec (%+.1f%%)",
-			base.TUsPerSec, cur.TUsPerSec, delta)
-	}
-	if minTUs > 0 {
-		check(cur.TUsPerSec >= minTUs, "throughput floor %.1f >= %.1f TUs/sec",
-			cur.TUsPerSec, minTUs)
-	}
-	if minHitRate > 0 {
-		check(100*cur.HitRate >= minHitRate, "hit-rate %.1f%% >= %.1f%%",
-			100*cur.HitRate, minHitRate)
-	}
-	if regressions > 0 {
-		fmt.Printf("benchdiff: %d service-level regression(s)\n", regressions)
-		obsserver.Exit(1)
-	}
-	fmt.Println("benchdiff: service gates clean")
-}
-
-func loadServe(path string) (*serve.LoadReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r serve.LoadReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if r.Schema != serve.LoadReportSchema {
-		return nil, fmt.Errorf("%s: schema %q is not %q (was it written by ooeload -report?)",
-			path, r.Schema, serve.LoadReportSchema)
-	}
-	if r.Requests == 0 {
-		return nil, fmt.Errorf("%s: empty replay report", path)
-	}
-	return &r, nil
 }
 
 func nsString(ns int64) string {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -118,86 +117,14 @@ func TestMetricsMode(t *testing.T) {
 			t.Fatalf("exit = %d, want 2", exit)
 		}
 	})
-}
 
-// serveReport builds a minimal ooeload replay report JSON.
-func serveReport(digest string, errors int, tus, hitRate float64) string {
-	return `{
-		"schema": "ooeload-report/v1",
-		"addr": "127.0.0.1:8338",
-		"seed": 7,
-		"clients": 8,
-		"requests": 40,
-		"errors": ` + itoa(errors) + `,
-		"integrityFailures": 0,
-		"durationNS": 1000000000,
-		"tusPerSec": ` + ftoa(tus) + `,
-		"latencyP50NS": 2000000,
-		"latencyP99NS": 9000000,
-		"latencyMaxNS": 12000000,
-		"hitRate": ` + ftoa(hitRate) + `,
-		"corpusDigest": "` + digest + `"
-	}`
-}
-
-func itoa(n int) string { return strconv.Itoa(n) }
-
-func ftoa(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
-
-// TestServeMode pins the -serve contract: equal corpus digests with a
-// warm hit-rate and throughput above the floors pass; a digest
-// mismatch (the service returned different artifact bytes cold vs
-// warm) or a hit-rate below the floor fails with exit 1.
-func TestServeMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the CLI")
-	}
-	bin := buildBenchdiff(t)
-	dir := t.TempDir()
-
-	cold := writeFile(t, dir, "cold.json", serveReport("d1", 0, 20, 0))
-	warm := writeFile(t, dir, "warm.json", serveReport("d1", 0, 60, 0.95))
-
-	out, exit := runBenchdiff(t, bin, "-serve", "-min-hit-rate", "90", "-min-tus", "2", cold, warm)
-	if exit != 0 {
-		t.Fatalf("clean gates exited %d:\n%s", exit, out)
-	}
-	if !strings.Contains(out, "service gates clean") {
-		t.Fatalf("missing pass banner:\n%s", out)
-	}
-
-	// Digest mismatch: the cold and warm artifact corpora differ.
-	drifted := writeFile(t, dir, "drift.json", serveReport("d2", 0, 60, 0.95))
-	out, exit = runBenchdiff(t, bin, "-serve", cold, drifted)
-	if exit != 1 || !strings.Contains(out, "corpus digests match") || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("digest mismatch not gated (exit %d):\n%s", exit, out)
-	}
-
-	// Hit-rate below the floor.
-	coldish := writeFile(t, dir, "coldish.json", serveReport("d1", 0, 60, 0.5))
-	out, exit = runBenchdiff(t, bin, "-serve", "-min-hit-rate", "90", cold, coldish)
-	if exit != 1 || !strings.Contains(out, "hit-rate") {
-		t.Fatalf("hit-rate floor not gated (exit %d):\n%s", exit, out)
-	}
-
-	// Replay errors in either report fail the gate.
-	erring := writeFile(t, dir, "err.json", serveReport("d1", 3, 60, 0.95))
-	_, exit = runBenchdiff(t, bin, "-serve", cold, erring)
-	if exit != 1 {
-		t.Fatalf("errors in current report not gated (exit %d)", exit)
-	}
-
-	// Throughput regression beyond the tolerance.
-	slow := writeFile(t, dir, "slow.json", serveReport("d1", 0, 10, 0.95))
-	out, exit = runBenchdiff(t, bin, "-serve", "-tolerance", "5", cold, slow)
-	if exit != 1 || !strings.Contains(out, "throughput") {
-		t.Fatalf("throughput regression not gated (exit %d):\n%s", exit, out)
-	}
-
-	// A report that isn't an ooeload report is a usage error, not a pass.
-	bogus := writeFile(t, dir, "bogus.json", `{"schema": "other/v1"}`)
-	_, exit = runBenchdiff(t, bin, "-serve", bogus, warm)
-	if exit == 0 {
-		t.Fatal("schema mismatch accepted")
-	}
+	t.Run("two-modes-is-two", func(t *testing.T) {
+		out, exit := runBenchdiff(t, bin, "-metrics", "-gobench", base, base)
+		if exit != 2 {
+			t.Fatalf("exit = %d, want 2\n%s", exit, out)
+		}
+		if !strings.Contains(out, "-metrics|-gobench") {
+			t.Errorf("usage line does not list the modes:\n%s", out)
+		}
+	})
 }

@@ -274,30 +274,51 @@ func (m *Manager) UnseqDecides(a, b Location) bool {
 	return true
 }
 
-// Alias runs the chain on (a, b).
+// Alias runs the chain on (a, b): the first NoAlias wins. With the
+// audit log armed (AttachAudit), the providers past the deciding answer
+// are still queried for the log; they change neither the answer nor the
+// stats and attribution.
 func (m *Manager) Alias(a, b Location) Result {
-	if m.tel != nil {
-		return m.aliasAudited(a, b)
-	}
 	m.Stats.Queries++
 	m.last = Attribution{}
+	audit := m.tel != nil
+	var chain []telemetry.ProviderVerdict
+	if audit {
+		chain = make([]telemetry.ProviderVerdict, 0, len(m.analyses))
+	}
+	var decider Analysis
+	meta := 0
 	best := MayAlias
 	othersBest := MayAlias
 	for _, an := range m.analyses {
 		r := an.Alias(a, b)
+		if audit {
+			chain = append(chain, telemetry.ProviderVerdict{Provider: an.Name(), Verdict: r.String()})
+			if decider != nil {
+				continue
+			}
+		}
 		if r == NoAlias {
-			if an == Analysis(m.unseq) && othersBest == MayAlias {
-				m.Stats.UnseqNoAlias++
-				m.last = Attribution{UnseqDecided: true, PredicateMeta: m.unseq.LastMeta()}
-				if !m.window.UnseqDecided {
-					m.window = m.last
+			isUnseq := an == Analysis(m.unseq)
+			if isUnseq {
+				meta = m.unseq.LastMeta()
+				if othersBest == MayAlias {
+					m.Stats.UnseqNoAlias++
+					m.last = Attribution{UnseqDecided: true, PredicateMeta: meta}
+					if !m.window.UnseqDecided {
+						m.window = m.last
+					}
 				}
 			}
 			m.Stats.NoAlias++
 			if m.inSummary {
 				m.Stats.SummaryNoAlias++
 			}
-			return NoAlias
+			if !audit {
+				return NoAlias
+			}
+			best, decider = NoAlias, an
+			continue
 		}
 		if r > best {
 			best = r
@@ -309,12 +330,16 @@ func (m *Manager) Alias(a, b Location) Result {
 		}
 	}
 	switch best {
+	case NoAlias: // counted at the decision
 	case MustAlias:
 		m.Stats.MustAlias++
 	case PartialAlias:
 		m.Stats.PartialAlias++
 	default:
 		m.Stats.MayAlias++
+	}
+	if audit {
+		m.recordQuery(a, b, chain, decider, meta, best)
 	}
 	return best
 }

@@ -236,3 +236,39 @@ func TestDecompose(t *testing.T) {
 		t.Error("no variable index expected")
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestManagerAliasAllocs pins the allocation cost of the audit-off
+// query path: the audit log's chain record must cost nothing when no
+// audit session is attached. The unseq-decided answer's two
+// allocations are unseq-aa's pair normalization (stableKey), not the
+// chain's.
+func TestManagerAliasAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations inside unseq-aa")
+	}
+	fn, a, bAl, _, gep0, _, gepVar, _ := buildFn()
+	m := NewManager(fn, true)
+	base := NewManager(fn, false)
+	for _, c := range []struct {
+		name   string
+		m      *Manager
+		a, b   Location
+		want   Result
+		allocs float64
+	}{
+		{"basic-noalias", m, loc(a, 8, ir.I64), loc(bAl, 8, ir.I64), NoAlias, 0},
+		{"unseq-noalias", m, loc(gep0, 8, ir.F64), loc(gepVar, 8, ir.F64), NoAlias, 2},
+		{"unseq-off-mayalias", base, loc(gep0, 8, ir.F64), loc(gepVar, 8, ir.F64), MayAlias, 0},
+	} {
+		if r := c.m.Alias(c.a, c.b); r != c.want {
+			t.Fatalf("%s: %v, want %v", c.name, r, c.want)
+		}
+		got := testing.AllocsPerRun(100, func() { c.m.Alias(c.a, c.b) })
+		if got != c.allocs {
+			t.Errorf("%s: %v allocs/op, want %v", c.name, got, c.allocs)
+		}
+	}
+}

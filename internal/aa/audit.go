@@ -44,74 +44,26 @@ func locString(l Location) string {
 	return s
 }
 
-// aliasAudited is Alias with the full verdict chain recorded. Unlike
-// the fast path it queries every provider (the chain past the deciding
-// answer is log-only); because unseq-aa sits last in the chain, the
-// stats and attribution updates below are exactly the fast path's.
-func (m *Manager) aliasAudited(a, b Location) Result {
-	m.Stats.Queries++
-	m.last = Attribution{}
+// recordQuery logs one chain query: every provider's verdict, the
+// provider that decided it (nil when none answered NoAlias) and, for an
+// unseq-aa decision, the deciding π predicate's meta.
+func (m *Manager) recordQuery(a, b Location, chain []telemetry.ProviderVerdict, decider Analysis, meta int, r Result) {
 	q := telemetry.AliasQuery{
-		Pass:       m.pass,
-		Function:   m.fname,
-		LocA:       locString(a),
-		LocB:       locString(b),
-		ViaSummary: m.inSummary,
-		Chain:      make([]telemetry.ProviderVerdict, 0, len(m.analyses)),
+		Pass:          m.pass,
+		Function:      m.fname,
+		LocA:          locString(a),
+		LocB:          locString(b),
+		ViaSummary:    m.inSummary,
+		Chain:         chain,
+		Result:        r.String(),
+		PredicateMeta: meta,
+		UnseqDecided:  m.last.UnseqDecided,
 	}
-	best := MayAlias
-	othersBest := MayAlias
-	decided := false
-	for _, an := range m.analyses {
-		r := an.Alias(a, b)
-		q.Chain = append(q.Chain, telemetry.ProviderVerdict{Provider: an.Name(), Verdict: r.String()})
-		if decided {
-			continue
-		}
-		if r == NoAlias {
-			if an == Analysis(m.unseq) {
-				q.PredicateMeta = m.unseq.LastMeta()
-				if othersBest == MayAlias {
-					m.Stats.UnseqNoAlias++
-					m.last = Attribution{UnseqDecided: true, PredicateMeta: q.PredicateMeta}
-					if !m.window.UnseqDecided {
-						m.window = m.last
-					}
-					q.UnseqDecided = true
-				}
-			}
-			m.Stats.NoAlias++
-			if m.inSummary {
-				m.Stats.SummaryNoAlias++
-			}
-			q.Decider = an.Name()
-			best = NoAlias
-			decided = true
-			continue
-		}
-		if r > best {
-			best = r
-		}
-		if m.unseq == nil || an != Analysis(m.unseq) {
-			if r > othersBest {
-				othersBest = r
-			}
-		}
+	if decider != nil {
+		q.Decider = decider.Name()
 	}
-	if !decided {
-		switch best {
-		case MustAlias:
-			m.Stats.MustAlias++
-		case PartialAlias:
-			m.Stats.PartialAlias++
-		default:
-			m.Stats.MayAlias++
-		}
-	}
-	q.Result = best.String()
 	m.resolveProvenance(&q)
 	m.tel.RecordAliasQuery(q)
-	return best
 }
 
 // unseqDecidesAudited records the vectorizer-style direct unseq-aa

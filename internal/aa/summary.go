@@ -181,8 +181,7 @@ func (fs *FuncSummary) equal(o *FuncSummary) bool {
 	return true
 }
 
-// String renders the summary for -print-summaries and for the
-// per-function content digests the compile service keys on.
+// String renders the summary for -print-summaries.
 func (fs *FuncSummary) String() string {
 	var b strings.Builder
 	b.WriteString("params[")

@@ -69,10 +69,6 @@ type Config struct {
 	// -print-summaries).
 	DumpCallGraph bool
 	DumpSummaries bool
-	// WantFuncKeys captures per-function content keys — function body +
-	// reachable callee summaries, the compile service's sub-TU cache
-	// identities — into Compilation.FuncKeys.
-	WantFuncKeys bool
 }
 
 // FrontendStats are the AST-level analysis counts (Table 5, cols 3-4).
@@ -112,11 +108,9 @@ type Compilation struct {
 
 	// CallGraphText / SummariesText are the pre-pipeline call graph and
 	// interprocedural summary renderings (set by Config.DumpCallGraph /
-	// DumpSummaries). FuncKeys are the per-function content keys (set by
-	// Config.WantFuncKeys).
+	// DumpSummaries).
 	CallGraphText string
 	SummariesText string
-	FuncKeys      []passes.FuncKey
 
 	cfg Config
 
@@ -206,7 +200,7 @@ func Compile(name, src string, cfg Config) (*Compilation, error) {
 		// The paper limits the sanitizer to unoptimized IR.
 		popts.OptLevel = 0
 	}
-	if cfg.DumpCallGraph || cfg.DumpSummaries || cfg.WantFuncKeys {
+	if cfg.DumpCallGraph || cfg.DumpSummaries {
 		// Force the module analyses now, against the pre-pipeline module
 		// (they are defined on that snapshot); RunModule reuses the same
 		// cached results through popts.ModuleAnalyses.
@@ -217,10 +211,6 @@ func Compile(name, src string, cfg Config) (*Compilation, error) {
 		}
 		if cfg.DumpSummaries {
 			c.SummariesText = ma.Summaries().String()
-		}
-		if cfg.WantFuncKeys {
-			popts.WantFuncKeys = true
-			c.FuncKeys = ma.FuncKeys()
 		}
 	}
 	stop = tel.Span("phase/opt")

@@ -1,9 +1,6 @@
 package passes
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"sync"
 
 	"repro/internal/aa"
@@ -272,7 +269,6 @@ type ModuleAnalyses struct {
 	mu    sync.Mutex
 	cg    *CallGraph
 	sums  *aa.Summaries
-	keys  []FuncKey
 	valid [numModuleAnalyses]bool
 
 	hits, misses [numModuleAnalyses]int64
@@ -351,8 +347,6 @@ func (ma *ModuleAnalyses) Invalidate(p ModulePreserved) {
 			ma.valid[id] = false
 		}
 	}
-	// ma.keys survives: FuncKeys is defined as a pre-pipeline snapshot
-	// (like SnapshotSummaries), not a live analysis.
 }
 
 // record exports hit/miss counters under the module_analysis/
@@ -367,76 +361,6 @@ func (ma *ModuleAnalyses) record(tel *telemetry.Session) {
 		tel.Count("module_analysis/hits/"+id.String(), ma.hits[id])
 		tel.Count("module_analysis/misses/"+id.String(), ma.misses[id])
 	}
-}
-
-// FuncKey is one function's content key: a digest of everything the
-// function's pipeline can observe — its own pre-pipeline body, the
-// summaries of every function it can reach (so an edit to a callee
-// invalidates its callers but nobody else), and the source provenance
-// of the π predicates in its body. This is the sub-TU cache identity
-// the compile service keys per-function artifacts on.
-type FuncKey struct {
-	Name string `json:"name"`
-	Key  string `json:"key"`
-}
-
-// FuncKeys computes (and caches) the per-function content keys from
-// the current module state. RunModule calls it before the pipelines
-// mutate anything when Options.WantFuncKeys is set.
-func (ma *ModuleAnalyses) FuncKeys() []FuncKey {
-	ma.mu.Lock()
-	defer ma.mu.Unlock()
-	if ma.keys != nil {
-		return ma.keys
-	}
-	cg := ma.callGraphLocked()
-	if !ma.touch(ModuleAnalysisSummaries) {
-		ma.sums = aa.BuildSummaries(ma.mod, cg.BottomUp(), pureBuiltin)
-	}
-	reach := cg.Reachable()
-	keys := make([]FuncKey, len(ma.mod.Funcs))
-	for i, f := range ma.mod.Funcs {
-		h := sha256.New()
-		field := func(tag, val string) {
-			var n [8]byte
-			binary.LittleEndian.PutUint64(n[:], uint64(len(tag)))
-			h.Write(n[:])
-			h.Write([]byte(tag))
-			binary.LittleEndian.PutUint64(n[:], uint64(len(val)))
-			h.Write(n[:])
-			h.Write([]byte(val))
-		}
-		field("schema", "ooed-funckey/v1")
-		field("body", f.String())
-		// Reachable callees in deterministic (module-index) order: both
-		// the summary (param-level effects and exported π pairs — the
-		// mod/ref surface the caller's pipeline consumes) and the body
-		// (the inliner splices reachable callee bodies verbatim, so any
-		// callee edit is a caller input change even when the summary is
-		// unaffected).
-		for j := range ma.mod.Funcs {
-			if _, ok := reach[i][j]; ok {
-				cf := ma.mod.Funcs[j]
-				field("callee:"+cf.Name, ma.sums.Of(cf.Name).String())
-				field("calleebody:"+cf.Name, cf.String())
-			}
-		}
-		// π provenance: the source spellings behind the Meta ids in this
-		// function's body (remarks/audit render them, so they are part of
-		// the artifact identity).
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpMustNotAlias && in.Meta > 0 {
-					if p := ma.mod.FindProvenance(in.Meta); p != nil {
-						field("pi", p.E1+"|"+p.E2+"|"+p.Span1.String()+"|"+p.Span2.String())
-					}
-				}
-			}
-		}
-		keys[i] = FuncKey{Name: f.Name, Key: hex.EncodeToString(h.Sum(nil))}
-	}
-	ma.keys = keys
-	return keys
 }
 
 // record exports the hit/miss counters to the telemetry registry.

@@ -129,18 +129,14 @@ type Options struct {
 	// unseq-aa is on. Summaries are computed once from the pre-pipeline
 	// module and are read-only during the function pipelines (sound
 	// because optimization never makes a function touch memory it could
-	// not already touch; see DESIGN.md §12). -interproc=false restores
+	// not already touch; see DESIGN.md §11). -interproc=false restores
 	// the call-barrier behaviour for A/B measurement.
 	InterprocSummaries bool
 	// ModuleAnalyses, when non-nil, is the caller-owned module-level
 	// analysis manager RunModule should use (and leave populated for
-	// inspection: -print-callgraph/-print-summaries, per-function cache
-	// keys). Nil makes RunModule create a private one.
+	// inspection: -print-callgraph/-print-summaries). Nil makes
+	// RunModule create a private one.
 	ModuleAnalyses *ModuleAnalyses
-	// WantFuncKeys makes RunModule capture per-function content keys
-	// (FuncKeys) from the pre-pipeline module into ModuleAnalyses — the
-	// compile service's sub-TU cache identities.
-	WantFuncKeys bool
 }
 
 // DefaultOptions is -O3.
@@ -198,9 +194,6 @@ func RunModule(mod *ir.Module, opts Options, aaStats *aa.Stats) (Stats, error) {
 	} else {
 		ma.CallGraph() // the scheduler needs reachability either way
 	}
-	if opts.WantFuncKeys {
-		ma.FuncKeys()
-	}
 	total, err := runFuncs(mod, opts, aaStats, ma, sums)
 	ma.record(opts.Telemetry)
 	if err != nil {
@@ -211,7 +204,7 @@ func RunModule(mod *ir.Module, opts Options, aaStats *aa.Stats) (Stats, error) {
 		// The inliner/DCE edited the call graph: whoever consumes the
 		// module analyses next (a second RunModule, a live dump of the
 		// post-pipeline graph) must recompute them. The pre-pipeline
-		// snapshots (SnapshotSummaries, FuncKeys) survive by design.
+		// snapshots (SnapshotSummaries, SnapshotCallGraph) survive by design.
 		ma.Invalidate(ModulePreserveNone)
 	}
 	return total, nil

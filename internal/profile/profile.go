@@ -55,14 +55,14 @@ type lineKey struct {
 	line int
 }
 
-// FlatLine is one source line's aggregate, the unit of the JSON and
+// FlatLine is one source line's aggregate, the unit of the pprof and
 // text renderings.
 type FlatLine struct {
-	Fn      string  `json:"fn"`
-	File    string  `json:"file,omitempty"`
-	Line    int     `json:"line,omitempty"`
-	Cycles  float64 `json:"cycles"`
-	Retired int64   `json:"retired"`
+	Fn      string
+	File    string
+	Line    int
+	Cycles  float64
+	Retired int64
 }
 
 // Flatten aggregates per (function, file, line), hottest first; ties
@@ -108,29 +108,6 @@ func ByFunction(p *Profile) map[string]float64 {
 		out[p.Samples[i].Fn] += p.Samples[i].Cycles
 	}
 	return out
-}
-
-// JSON is the byte-stable artifact form embedded in compile-service
-// responses (schema ooelala-profile/v1).
-type JSON struct {
-	Schema       string     `json:"schema"`
-	Unit         string     `json:"unit"`
-	Engine       string     `json:"engine"`
-	TotalCycles  float64    `json:"totalCycles"`
-	TotalRetired int64      `json:"totalRetired"`
-	Lines        []FlatLine `json:"lines"`
-}
-
-// ToJSON builds the artifact form.
-func ToJSON(p *Profile) JSON {
-	return JSON{
-		Schema:       "ooelala-profile/v1",
-		Unit:         p.Unit,
-		Engine:       p.Engine,
-		TotalCycles:  p.TotalCycles(),
-		TotalRetired: p.TotalRetired(),
-		Lines:        Flatten(p),
-	}
 }
 
 func pct(part, whole float64) string {

@@ -46,16 +46,6 @@ func TestFlattenAggregatesAndOrders(t *testing.T) {
 	}
 }
 
-func TestToJSONSchema(t *testing.T) {
-	j := ToJSON(sampleProfile())
-	if j.Schema != "ooelala-profile/v1" {
-		t.Errorf("schema %q", j.Schema)
-	}
-	if j.TotalCycles != 310 || j.TotalRetired != 67 || len(j.Lines) != 4 {
-		t.Errorf("totals wrong: %+v", j)
-	}
-}
-
 func TestWritePprofDeterministicAndParseable(t *testing.T) {
 	p := sampleProfile()
 	var a, b bytes.Buffer

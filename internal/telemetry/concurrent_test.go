@@ -67,15 +67,17 @@ func TestForkMergeDeterministicOrder(t *testing.T) {
 	record := func(s *Session, i int) {
 		s.Count(fmt.Sprintf("fn/%d", i), int64(i))
 		s.Count("total", 1)
+		s.SetGauge(fmt.Sprintf("g/%d", i), float64(i))
+		s.RecordDuration("phase/opt", time.Duration(i+1)*time.Millisecond)
 		s.Remark(Remark{Pass: "licm", Function: fmt.Sprintf("f%d", i), Kind: "Hoisted"})
 	}
 
-	want := New(Config{Metrics: true, Remarks: true})
+	want := New(Config{Metrics: true, Timing: true, Remarks: true})
 	for i := 0; i < 6; i++ {
 		record(want, i)
 	}
 
-	got := New(Config{Metrics: true, Remarks: true})
+	got := New(Config{Metrics: true, Timing: true, Remarks: true})
 	children := make([]*Session, 6)
 	var wg sync.WaitGroup
 	// Reverse spawn order: interleaving must not matter, only merge order.

@@ -364,25 +364,6 @@ func (s *Session) Merge(child *Session) {
 	}
 }
 
-// MergeMetrics folds only the bounded aggregate streams of child into
-// s — counters, gauges, and duration accumulators — leaving remarks,
-// trace events, and the audit ring behind. It is the fan-in for
-// long-running servers: a per-request session carries the full streams
-// so its snapshot can be serialized into artifacts, while the serving
-// session absorbs just the aggregates, keeping its memory bounded no
-// matter how many requests it outlives. The child need not be a fork
-// of s. Safe when s or child is nil.
-func (s *Session) MergeMetrics(child *Session) {
-	if s == nil || child == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	child.mu.Lock()
-	defer child.mu.Unlock()
-	s.mergeMetricsLocked(child)
-}
-
 // mergeMetricsLocked merges counters, gauges and duration accumulators
 // with both mutexes held.
 func (s *Session) mergeMetricsLocked(child *Session) {

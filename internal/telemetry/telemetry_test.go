@@ -190,45 +190,3 @@ func BenchmarkNoopSpanAndCount(b *testing.B) {
 		stop()
 	}
 }
-
-func TestMergeMetrics(t *testing.T) {
-	parent := New(Config{Metrics: true, Timing: true})
-	child := New(Config{Metrics: true, Timing: true, Remarks: true, Audit: true})
-	child.Count("aa/queries", 5)
-	child.SetGauge("g", 3)
-	child.RecordDuration("phase/opt", 2*time.Millisecond)
-	child.Remark(Remark{Pass: "licm", Kind: "LICMPromoted"})
-	child.RecordAliasQuery(AliasQuery{LocA: "a", LocB: "b", Result: "NoAlias"})
-
-	parent.Count("aa/queries", 1)
-	parent.MergeMetrics(child)
-
-	snap := parent.Snapshot()
-	got := map[string]int64{}
-	for _, c := range snap.Counters {
-		got[c.Name] = c.Value
-	}
-	if got["aa/queries"] != 6 {
-		t.Errorf("aa/queries = %d, want 6", got["aa/queries"])
-	}
-	if len(snap.Gauges) != 1 || snap.Gauges[0].Value != 3 {
-		t.Errorf("gauges = %+v, want g=3", snap.Gauges)
-	}
-	if len(snap.Durations) != 1 || snap.Durations[0].Count != 1 {
-		t.Errorf("durations = %+v, want one phase/opt sample", snap.Durations)
-	}
-	// The unbounded streams must stay behind: MergeMetrics is the fan-in
-	// for long-running servers, where remarks/audit would leak.
-	if len(snap.Remarks) != 0 {
-		t.Errorf("MergeMetrics leaked %d remarks into the parent", len(snap.Remarks))
-	}
-	if len(snap.AliasQueries) != 0 || snap.AliasQueriesTotal != 0 {
-		t.Errorf("MergeMetrics leaked audit state: %d entries, total %d",
-			len(snap.AliasQueries), snap.AliasQueriesTotal)
-	}
-
-	// Unlike Merge, the child need not be a fork of the parent, and nil
-	// on either side is a no-op.
-	parent.MergeMetrics(nil)
-	(*Session)(nil).MergeMetrics(child)
-}

@@ -2,7 +2,7 @@
 // executes it with a flat dispatch loop. It is the fast run leg behind
 // the -engine flag; the tree-walking interpreter (internal/interp) is
 // retained as the oracle. The correctness contract is bit-identical
-// cycles, results, and sanitizer verdicts versus interp (DESIGN.md §10):
+// cycles, results, and sanitizer verdicts versus interp (DESIGN.md §9):
 // the vm reuses interp's exported value model (interp.Val, ScalarBin,
 // CompareVals, ConvertVal, CallBuiltin, Lane) and the canonical ir
 // kernels, performs the same float cycle additions in the same order,
