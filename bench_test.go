@@ -202,7 +202,7 @@ func BenchmarkUBSanSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		failures = 0
 		for _, p := range programs {
-			rep, err := sanitizer.Check(p.Name, p.Source, workload.Files(), "")
+			rep, err := sanitizer.Check(p.Name, p.Source, workload.Files(), "", nil, nil)
 			if err != nil {
 				b.Fatalf("%s: %v", p.Name, err)
 			}
@@ -485,11 +485,11 @@ func BenchmarkRunLeg(b *testing.B) {
 				b.ResetTimer()
 				var cycles float64
 				for i := 0; i < b.N; i++ {
-					_, cyc, err := c.RunOn(eng, "")
+					r, err := c.Exec(driver.RunOpts{Engine: eng})
 					if err != nil {
 						b.Fatal(err)
 					}
-					cycles = cyc
+					cycles = r.Cycles
 				}
 				b.ReportMetric(cycles, "cycles")
 			})

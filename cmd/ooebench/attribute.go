@@ -131,20 +131,21 @@ func attributeKernel(p workload.Program, baseCfg, optCfg driver.Config) (*benefi
 	if err != nil {
 		return nil, fmt.Errorf("ooelala compile: %w", err)
 	}
-	rBase, cyBase, profBase, err := base.ProfileRun(driver.EngineVM, "")
+	rBase, err := base.Exec(driver.RunOpts{Profile: true})
 	if err != nil {
 		return nil, fmt.Errorf("baseline run: %w", err)
 	}
-	rOpt, cyOpt, profOpt, err := opt.ProfileRun(driver.EngineVM, "")
+	rOpt, err := opt.Exec(driver.RunOpts{Profile: true})
 	if err != nil {
 		return nil, fmt.Errorf("ooelala run: %w", err)
 	}
-	if rBase != rOpt {
-		return nil, fmt.Errorf("MISCOMPILE: baseline=%d ooelala=%d", rBase, rOpt)
+	if rBase.Value != rOpt.Value {
+		return nil, fmt.Errorf("MISCOMPILE: baseline=%d ooelala=%d", rBase.Value, rOpt.Value)
 	}
+	cyBase, cyOpt := rBase.Cycles, rOpt.Cycles
 
-	byFnBase := profile.ByFunction(profBase)
-	byFnOpt := profile.ByFunction(profOpt)
+	byFnBase := profile.ByFunction(rBase.Profile)
+	byFnOpt := profile.ByFunction(rOpt.Profile)
 
 	// π pairs per function: remarks the unseq-aa verdict enabled, joined
 	// through the module provenance table back to source lvalue pairs.
@@ -253,12 +254,13 @@ func profileOne(name, pprofPath string, annotate bool) error {
 	if err != nil {
 		return err
 	}
-	result, cycles, prof, err := c.ProfileRun("", "")
+	r, err := c.Exec(driver.RunOpts{Profile: true})
 	if err != nil {
 		return err
 	}
+	prof := r.Profile
 	fmt.Printf("%s: result %d, cycles %.0f (%d samples)\n",
-		prog.Name, result, cycles, len(prof.Samples))
+		prog.Name, r.Value, r.Cycles, len(prof.Samples))
 	if pprofPath != "" {
 		f, err := os.Create(pprofPath)
 		if err != nil {

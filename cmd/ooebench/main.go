@@ -106,16 +106,12 @@ func main() {
 		"print a perf-annotate-style source listing for -profile-kernel")
 	jobs := flag.Int("j", 0, "per-function compilation parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	pf := driver.RegisterPassFlags(flag.CommandLine)
-	ef := driver.RegisterEngineFlag(flag.CommandLine)
 	tf := telemetry.RegisterFlags(flag.CommandLine)
 	obs := obsserver.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	driver.SetDefaultJobs(*jobs)
 	if err := pf.Apply(); err != nil {
-		fatal(err)
-	}
-	if err := ef.Apply(); err != nil {
 		fatal(err)
 	}
 	telCfg := tf.Config()
@@ -463,7 +459,7 @@ func ubsanSweep() error {
 	failures := 0
 	checks := 0
 	for _, p := range programs {
-		rep, err := sanitizer.CheckWith(p.Name, p.Source, workload.Files(), "", nil, tel)
+		rep, err := sanitizer.Check(p.Name, p.Source, workload.Files(), "", nil, tel)
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.Name, err)
 		}

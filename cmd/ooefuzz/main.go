@@ -46,7 +46,6 @@ func main() {
 		callBias = flag.Float64("callbias", -1,
 			"probability a statement is a standalone helper call (negative = generator default)")
 	)
-	ef := driver.RegisterEngineFlag(flag.CommandLine)
 	obs := obsserver.RegisterFlags(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: ooefuzz [flags]\n")
@@ -59,10 +58,6 @@ func main() {
 	}
 	if *n <= 0 {
 		fmt.Fprintln(os.Stderr, "ooefuzz: -n must be positive")
-		os.Exit(2)
-	}
-	if err := ef.Apply(); err != nil {
-		fmt.Fprintln(os.Stderr, "ooefuzz:", err)
 		os.Exit(2)
 	}
 

@@ -78,7 +78,6 @@ func main() {
 	printSums := flag.Bool("print-summaries", false, "print the per-function interprocedural mod/ref + π summaries")
 	jobs := flag.Int("j", 0, "per-function compilation parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	pf := driver.RegisterPassFlags(flag.CommandLine)
-	ef := driver.RegisterEngineFlag(flag.CommandLine)
 	tf := telemetry.RegisterFlags(flag.CommandLine)
 	obs := obsserver.RegisterFlags(flag.CommandLine)
 	explain := flag.Bool("explain", false,
@@ -108,9 +107,6 @@ func main() {
 
 	driver.SetDefaultJobs(*jobs)
 	if err := pf.Apply(); err != nil {
-		fatal(err)
-	}
-	if err := ef.Apply(); err != nil {
 		fatal(err)
 	}
 	telCfg := tf.Config()
@@ -198,11 +194,12 @@ func main() {
 	}
 	profiling := *profCycles != "" || *annotateSrc || *folded != ""
 	if profiling {
-		result, cycles, prof, err := c.ProfileRun("", "")
+		r, err := c.Exec(driver.RunOpts{Profile: true})
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("result %d\ncycles %.0f\n", result, cycles)
+		prof := r.Profile
+		fmt.Printf("result %d\ncycles %.0f\n", r.Value, r.Cycles)
 		if *profCycles != "" {
 			if err := writeProfile(*profCycles, func(w io.Writer) error {
 				return profile.WritePprof(w, prof)

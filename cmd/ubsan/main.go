@@ -34,16 +34,11 @@ func main() {
 	jsonPath := flag.String("json", "", "write the report (with π-pair provenance per violation) as JSON to `path`")
 	jobs := flag.Int("j", 0, "per-function compilation parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	pf := driver.RegisterPassFlags(flag.CommandLine)
-	ef := driver.RegisterEngineFlag(flag.CommandLine)
 	tf := telemetry.RegisterFlags(flag.CommandLine)
 	obs := obsserver.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 	driver.SetDefaultJobs(*jobs)
 	if err := pf.Apply(); err != nil {
-		fmt.Fprintln(os.Stderr, "ubsan:", err)
-		os.Exit(1)
-	}
-	if err := ef.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "ubsan:", err)
 		os.Exit(1)
 	}
@@ -67,7 +62,7 @@ func main() {
 		os.Exit(1)
 	}
 	defer obsHandle.Close()
-	rep, err := sanitizer.CheckWith(path, string(src), workload.Files(), *entry, nil, tel)
+	rep, err := sanitizer.Check(path, string(src), workload.Files(), *entry, nil, tel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ubsan:", err)
 		obsserver.Exit(1)

@@ -28,19 +28,19 @@ func compileAt(t *testing.T, p workload.Program, ooe bool, jobs int) (string, *t
 	if err != nil {
 		t.Fatalf("%s (ooe=%v, -j %d) run: %v", p.Name, ooe, jobs, err)
 	}
-	// Run -engine both ways: determinism must hold per engine AND the
+	// Run on both engines: determinism must hold per engine AND the
 	// two engines must agree bit-for-bit on (result, cycles).
-	tRes, tCyc, err := c.RunOn(driver.EngineTree, "")
+	tr, err := c.Exec(driver.RunOpts{Engine: driver.EngineTree})
 	if err != nil {
 		t.Fatalf("%s (ooe=%v, -j %d) tree run: %v", p.Name, ooe, jobs, err)
 	}
-	vRes, vCyc, err := c.RunOn(driver.EngineVM, "")
+	vr, err := c.Exec(driver.RunOpts{Engine: driver.EngineVM})
 	if err != nil {
 		t.Fatalf("%s (ooe=%v, -j %d) vm run: %v", p.Name, ooe, jobs, err)
 	}
-	if tRes != vRes || tCyc != vCyc {
+	if tr.Value != vr.Value || tr.Cycles != vr.Cycles {
 		t.Fatalf("%s (ooe=%v, -j %d): engine divergence: tree=(%d, %v) vm=(%d, %v)",
-			p.Name, ooe, jobs, tRes, tCyc, vRes, vCyc)
+			p.Name, ooe, jobs, tr.Value, tr.Cycles, vr.Value, vr.Cycles)
 	}
 	return dump, tel.Snapshot(), res, cycles
 }

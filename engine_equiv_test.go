@@ -112,8 +112,9 @@ func TestEngineEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s compile: %v", cc.name, err)
 				}
-				tRes, tCyc, tErr := c.RunOn(driver.EngineTree, "")
-				vRes, vCyc, vErr := c.RunOn(driver.EngineVM, "")
+				tr, tErr := c.Exec(driver.RunOpts{Engine: driver.EngineTree})
+				vr, vErr := c.Exec(driver.RunOpts{Engine: driver.EngineVM})
+				tRes, tCyc, vRes, vCyc := tr.Value, tr.Cycles, vr.Value, vr.Cycles
 				if stripEnginePrefix(tErr) != stripEnginePrefix(vErr) {
 					t.Fatalf("%s: error divergence: tree=%v vm=%v", cc.name, tErr, vErr)
 				}

@@ -29,7 +29,7 @@ func main() {
 		{"distinct-objects", clean},
 		{"aliased-objects", racy},
 	} {
-		rep, err := sanitizer.Check(prog.name, prog.src, nil, "")
+		rep, err := sanitizer.Check(prog.name, prog.src, nil, "", nil, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", prog.name, err)
 		}

@@ -213,7 +213,7 @@ func Validate(name, src string, files map[string]string) (*Report, error) {
 	transform := func(tu *ast.TranslationUnit) {
 		rep.Inserted = Unit(tu)
 	}
-	sanRep, err := sanitizer.CheckTransformed(name, src, files, "", transform)
+	sanRep, err := sanitizer.Check(name, src, files, "", transform, nil)
 	if err != nil {
 		return nil, fmt.Errorf("annotate validate: %w", err)
 	}

@@ -64,11 +64,17 @@ func (p *Preprocessor) Errors() []*Error { return p.errs }
 // phase/parse/cpp span and exports the expansion counters.
 func (p *Preprocessor) SetTelemetry(tel *telemetry.Session) { p.tel = tel }
 
-// Define installs a macro programmatically (like -D on a compiler command
-// line). body is lexed as C tokens.
-func (p *Preprocessor) Define(name, body string) {
-	toks, _ := lexer.Tokenize("<predefined>", body)
-	p.macros[name] = &Macro{Name: name, Body: toks}
+// Define installs a macro programmatically, like -D on a compiler
+// command line: "name body" is lexed as C tokens and read as the
+// operands of a #define, so name may carry a parameter list. A body
+// that fails to lex is an error.
+func (p *Preprocessor) Define(name, body string) error {
+	toks, errs := lexer.Tokenize("<command-line>", name+" "+body)
+	if len(errs) > 0 {
+		return &Error{Pos: errs[0].Pos, Msg: fmt.Sprintf("-D %s: %s", name, errs[0].Msg)}
+	}
+	p.define(toks, token.Pos{File: "<command-line>", Line: 1, Col: 1})
+	return nil
 }
 
 // Macros returns the live macro table (for tests).

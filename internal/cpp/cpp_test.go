@@ -167,7 +167,9 @@ func TestMacroArgumentsWithCommasInParens(t *testing.T) {
 
 func TestPredefine(t *testing.T) {
 	pp := New(nil)
-	pp.Define("POLYBENCH_N", "512")
+	if err := pp.Define("POLYBENCH_N", "512"); err != nil {
+		t.Fatal(err)
+	}
 	toks := pp.Process("t.c", "int n = POLYBENCH_N;")
 	found := false
 	for _, tok := range toks {

@@ -35,7 +35,8 @@ type Config struct {
 	NoOpt bool
 	// Files provides #include-able sources.
 	Files map[string]string
-	// Defines are predefined object-like macros (-D equivalents).
+	// Defines are predefined macros (-D equivalents), installed in the
+	// preprocessor's macro table so no source position shifts.
 	Defines map[string]string
 	// Costs overrides the interpreter cost model (zero value = defaults).
 	Costs *interp.CostModel
@@ -51,11 +52,6 @@ type Config struct {
 	// the differential-testing oracle. Output is byte-identical across
 	// all values — results merge in original function order.
 	Jobs int
-	// Engine selects the run-leg execution engine (EngineVM or
-	// EngineTree). "" uses the process default (SetDefaultEngine, else
-	// the vm). Results, cycle counts, and sanitizer verdicts are
-	// bit-identical across engines.
-	Engine string
 	// Telemetry, if non-nil, receives phase spans, pass/AA counters, and
 	// optimization remarks. The nil default has zero overhead.
 	Telemetry *telemetry.Session
@@ -124,13 +120,8 @@ type Compilation struct {
 func Compile(name, src string, cfg Config) (*Compilation, error) {
 	tel := cfg.Telemetry
 	tel.FlightRecord("unit", name, "")
-	files := cfg.Files
-	pre := ""
-	for k, v := range cfg.Defines {
-		pre += "#define " + k + " " + v + "\n"
-	}
 	stop := tel.Span("phase/parse")
-	tu, perrs := parser.ParseFileTimed(name, pre+src, files, tel)
+	tu, perrs := parser.ParseFileTimed(name, src, cfg.Files, cfg.Defines, tel)
 	stop()
 	if len(perrs) > 0 {
 		return nil, fmt.Errorf("%s: parse: %v", name, perrs[0])
@@ -279,41 +270,6 @@ func (c *Compilation) record(tel *telemetry.Session) {
 	tel.Count("preds/unique", int64(c.UniqueFinalPreds))
 	tel.Count("preds/ubchecks", int64(c.UBChecks))
 	c.PassStats.Record(tel)
-}
-
-// NewMachine builds a fresh tree-walking machine for the compiled
-// module (the oracle engine; see NewMachineOn for the configured one).
-func (c *Compilation) NewMachine() *interp.Machine {
-	costs := interp.DefaultCosts()
-	if c.cfg.Costs != nil {
-		costs = *c.cfg.Costs
-	}
-	return interp.New(c.Module, costs)
-}
-
-// Run executes the entry function (default main) on the configured
-// engine and returns (result, simulated cycles).
-func (c *Compilation) Run(entry string, args ...int64) (int64, float64, error) {
-	return c.RunOn("", entry, args...)
-}
-
-// RunSanitized executes main on the configured engine and returns the
-// sanitizer failures.
-func (c *Compilation) RunSanitized(entry string) ([]*interp.SanitizerFailure, error) {
-	m := c.NewMachineOn("")
-	if entry == "" {
-		entry = "main"
-	}
-	stop := c.cfg.Telemetry.Span("phase/interp")
-	_, err := m.RunArgs(entry)
-	stop()
-	m.Report(c.cfg.Telemetry)
-	fails := m.SanitizerFailures()
-	m.Release()
-	if err != nil {
-		return nil, err
-	}
-	return fails, nil
 }
 
 // Speedup compiles src under baseline and OOElala configurations, runs

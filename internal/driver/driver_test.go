@@ -80,8 +80,9 @@ func TestNoOptKeepsIRUnoptimized(t *testing.T) {
 }
 
 func TestDefines(t *testing.T) {
-	src := `int main() { return N * 2; }`
-	c, err := Compile("defs.c", src, Config{OOElala: true, Defines: map[string]string{"N": "21"}})
+	src := `int main() { return TWICE(N); }`
+	c, err := Compile("defs.c", src, Config{OOElala: true,
+		Defines: map[string]string{"N": "21", "TWICE(x)": "((x) + (x))"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,6 +92,42 @@ func TestDefines(t *testing.T) {
 	}
 	if res != 42 {
 		t.Errorf("define not applied: %d", res)
+	}
+
+	// -D must not shift source positions: diagnostics and instruction
+	// spans read the same with and without predefined macros.
+	two := map[string]string{"N": "1", "M": "2"}
+	bad := "int main() {\n  return undeclared;\n}\n"
+	_, plainErr := Compile("e.c", bad, Config{})
+	_, defErr := Compile("e.c", bad, Config{Defines: two})
+	if plainErr == nil || defErr == nil {
+		t.Fatalf("undeclared identifier compiled: %v / %v", plainErr, defErr)
+	}
+	if !strings.Contains(plainErr.Error(), "e.c:2:") || defErr.Error() != plainErr.Error() {
+		t.Errorf("diagnostic moved under -D:\n  without: %v\n  with:    %v", plainErr, defErr)
+	}
+	spans := func(defines map[string]string) string {
+		c, err := Compile("simple.c", simple, Config{NoOpt: true, Defines: defines})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, f := range c.Module.Funcs {
+			for _, b := range f.Blocks {
+				for _, in := range b.Instrs {
+					out = append(out, in.Span.String())
+				}
+			}
+		}
+		return strings.Join(out, " ")
+	}
+	if without, with := spans(nil), spans(two); !strings.Contains(without, "simple.c:4:") || with != without {
+		t.Errorf("instruction spans moved under -D:\n  without: %s\n  with:    %s", without, with)
+	}
+
+	// A -D body that fails to lex is a compile error.
+	if _, err := Compile("defs.c", src, Config{Defines: map[string]string{"N": `"21`}}); err == nil {
+		t.Error("unterminated string in a -D body compiled")
 	}
 }
 
@@ -147,12 +184,12 @@ func TestSanitizeForcesO0(t *testing.T) {
 	if c.PassStats.LoopsVectorized != 0 || c.PassStats.CallsInlined != 0 {
 		t.Error("the paper limits the sanitizer to unoptimized IR")
 	}
-	fails, err := c.RunSanitized("")
+	r, err := c.Exec(RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fails) != 0 {
-		t.Errorf("clean program flagged: %v", fails)
+	if len(r.Failures) != 0 {
+		t.Errorf("clean program flagged: %v", r.Failures)
 	}
 }
 

@@ -1,16 +1,13 @@
 package driver
 
 import (
-	"flag"
-	"fmt"
-	"sync/atomic"
-
 	"repro/internal/interp"
+	"repro/internal/profile"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
 
-// Engine names accepted by Config.Engine and the -engine flag.
+// Engine names accepted by RunOpts.Engine and NewMachineOn.
 const (
 	// EngineVM is the compiled-bytecode run leg (internal/vm), the
 	// default: bit-identical cycles/results/sanitizer verdicts to the
@@ -29,44 +26,15 @@ type Machine interface {
 	TotalCycles() float64
 	SanitizerFailures() []*interp.SanitizerFailure
 	Report(*telemetry.Session)
-	GlobalAddr(name string) (int64, bool)
-	ReadF64(addr int64) float64
-	ReadI64(addr int64) int64
-	WriteF64(addr int64, v float64)
-	WriteI64(addr int64, v int64)
+	// EnableProfile turns on cycle attribution (call before the run);
+	// ProfileSamples returns it: per-pc counters resolved through the
+	// bytecode line table on the vm, per-IR-instruction counters on the
+	// tree-walker.
+	EnableProfile()
+	ProfileSamples() []profile.Sample
 	// Release recycles the machine's memory image; the machine must not
 	// run again afterwards, but results already read stay valid.
 	Release()
-}
-
-var defaultEngine atomic.Value // string
-
-// SetDefaultEngine installs the process-wide engine default (the
-// -engine flag). Like SetDefaultJobs, it applies to every compilation
-// the process triggers unless Config.Engine overrides it.
-func SetDefaultEngine(e string) error {
-	switch e {
-	case EngineVM, EngineTree:
-		defaultEngine.Store(e)
-		return nil
-	}
-	return fmt.Errorf("unknown engine %q (want %q or %q)", e, EngineVM, EngineTree)
-}
-
-// DefaultEngine returns the process-wide engine default.
-func DefaultEngine() string {
-	if e, ok := defaultEngine.Load().(string); ok {
-		return e
-	}
-	return EngineVM
-}
-
-// engine resolves the compilation's effective engine.
-func (c *Compilation) engine() string {
-	if c.cfg.Engine != "" {
-		return c.cfg.Engine
-	}
-	return DefaultEngine()
 }
 
 // Program returns the compiled bytecode for the module, compiling it on
@@ -81,15 +49,12 @@ func (c *Compilation) Program() *vm.Program {
 	return c.vmProg
 }
 
-// NewMachineOn builds a fresh machine on the named engine ("" uses the
-// compilation's configured engine).
+// NewMachineOn builds a fresh machine on the named engine ("" is the
+// vm).
 func (c *Compilation) NewMachineOn(engine string) Machine {
 	costs := interp.DefaultCosts()
 	if c.cfg.Costs != nil {
 		costs = *c.cfg.Costs
-	}
-	if engine == "" {
-		engine = c.engine()
 	}
 	if engine == EngineTree {
 		return interp.New(c.Module, costs)
@@ -97,39 +62,66 @@ func (c *Compilation) NewMachineOn(engine string) Machine {
 	return vm.New(c.Program(), costs)
 }
 
-// RunOn executes the entry function (default main) on the named engine
-// ("" = configured) and returns (result, simulated cycles).
-func (c *Compilation) RunOn(engine, entry string, args ...int64) (int64, float64, error) {
-	m := c.NewMachineOn(engine)
+// RunOpts selects one execution of a compiled unit.
+type RunOpts struct {
+	// Engine is EngineVM ("" too) or EngineTree, the oracle that tests
+	// and ooefuzz -cross-engine compare the vm against.
+	Engine string
+	// Entry is the function to call ("" = main) with integer Args.
+	Entry string
+	Args  []int64
+	// Profile enables cycle attribution into RunResult.Profile.
+	Profile bool
+}
+
+// RunResult is what one execution observed.
+type RunResult struct {
+	Value  int64
+	Cycles float64
+	// Failures are the sanitizer violations (only a Sanitize build
+	// carries the checks that record them).
+	Failures []*interp.SanitizerFailure
+	// Profile is set when RunOpts.Profile was. The sum of its attributed
+	// cycles equals Cycles minus the top-level CallBase charge (the only
+	// cost paid before the first dispatch point) on both engines.
+	Profile *profile.Profile
+}
+
+// Exec is the run leg: it builds a machine on the chosen engine, runs
+// the entry function under a phase/run span, reports the machine's
+// counters to the compilation's telemetry session, and releases the
+// machine on every path.
+func (c *Compilation) Exec(o RunOpts) (RunResult, error) {
+	m := c.NewMachineOn(o.Engine)
+	defer m.Release()
+	if o.Profile {
+		m.EnableProfile()
+	}
+	entry := o.Entry
 	if entry == "" {
 		entry = "main"
 	}
-	stop := c.cfg.Telemetry.Span("phase/interp")
-	v, err := m.RunArgs(entry, args...)
+	stop := c.cfg.Telemetry.Span("phase/run")
+	v, err := m.RunArgs(entry, o.Args...)
 	stop()
 	m.Report(c.cfg.Telemetry)
-	cycles := m.TotalCycles()
-	// The machine is dead past this point; a vm machine recycles its
-	// memory image so repeated runs stop allocating one per leg.
-	m.Release()
 	if err != nil {
-		return 0, 0, err
+		return RunResult{}, err
 	}
-	return v, cycles, nil
+	r := RunResult{Value: v, Cycles: m.TotalCycles(), Failures: m.SanitizerFailures()}
+	if o.Profile {
+		engine := o.Engine
+		if engine == "" {
+			engine = EngineVM
+		}
+		r.Profile = &profile.Profile{Unit: c.Name, Engine: engine, Samples: m.ProfileSamples()}
+	}
+	return r, nil
 }
 
-// EngineFlag carries the shared -engine flag each CLI registers.
-type EngineFlag struct {
-	Engine string
+// Run executes the entry function (default main) on the vm and returns
+// (result, simulated cycles).
+func (c *Compilation) Run(entry string, args ...int64) (int64, float64, error) {
+	r, err := c.Exec(RunOpts{Entry: entry, Args: args})
+	return r.Value, r.Cycles, err
 }
-
-// RegisterEngineFlag registers -engine on fs.
-func RegisterEngineFlag(fs *flag.FlagSet) *EngineFlag {
-	ef := &EngineFlag{}
-	fs.StringVar(&ef.Engine, "engine", EngineVM,
-		"execution engine for the run leg: vm (compiled bytecode) or tree (tree-walking oracle)")
-	return ef
-}
-
-// Apply installs the flag value as the process-wide default.
-func (ef *EngineFlag) Apply() error { return SetDefaultEngine(ef.Engine) }

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -52,7 +53,9 @@ func TestRemarkUnseqAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Program()
+	if _, _, err := c.Run(""); err != nil {
+		t.Fatal(err)
+	}
 	snap := tel.Snapshot()
 	if got := countUnseqRemarks(snap); got == 0 {
 		t.Fatalf("OOElala compile produced no unseq-aa-attributed remarks; all remarks: %+v", snap.Remarks)
@@ -82,9 +85,21 @@ func TestRemarkUnseqAttribution(t *testing.T) {
 	for _, d := range snap.Durations {
 		phases[d.Name] = true
 	}
-	for _, want := range []string{"phase/parse", "phase/sema", "phase/ooe", "phase/irgen", "phase/opt", "phase/verify", "phase/vm_compile"} {
+	layers := []string{"phase/parse", "phase/sema", "phase/ooe", "phase/irgen", "phase/opt", "phase/verify", "phase/vm_compile", "phase/run"}
+	known := map[string]bool{}
+	for _, want := range layers {
+		known[want] = true
 		if !phases[want] {
 			t.Errorf("missing phase span %s; have %v", want, phases)
+		}
+	}
+	// Every top-level phase span is one of the layers above: the run leg
+	// records phase/run, named for the leg rather than for an engine.
+	for name := range phases {
+		if rest, ok := strings.CutPrefix(name, "phase/"); ok {
+			if top, _, _ := strings.Cut(rest, "/"); !known["phase/"+top] {
+				t.Errorf("unexpected top-level phase span %s", name)
+			}
 		}
 	}
 

@@ -249,15 +249,15 @@ func Check(p Program, opts HarnessOpts) *Outcome {
 // engine-name prefix) must all agree. Returns the vm-side outcome so
 // the caller's leg bookkeeping reflects the default engine.
 func runCross(c *driver.Compilation, out *Outcome, leg string) (int64, error) {
-	tRes, tCyc, tErr := c.RunOn(driver.EngineTree, "")
-	vRes, vCyc, vErr := c.RunOn(driver.EngineVM, "")
+	t, tErr := c.Exec(driver.RunOpts{Engine: driver.EngineTree})
+	v, vErr := c.Exec(driver.RunOpts{Engine: driver.EngineVM})
 	if stripEngine(tErr) != stripEngine(vErr) {
 		out.flag(KindEngineMismatch, "%s: error divergence: tree=%v vm=%v", leg, tErr, vErr)
-	} else if tErr == nil && (tRes != vRes || tCyc != vCyc) {
+	} else if tErr == nil && (t.Value != v.Value || t.Cycles != v.Cycles) {
 		out.flag(KindEngineMismatch, "%s: tree=(%d, %v) vm=(%d, %v)",
-			leg, tRes, tCyc, vRes, vCyc)
+			leg, t.Value, t.Cycles, v.Value, v.Cycles)
 	}
-	return vRes, vErr
+	return v.Value, vErr
 }
 
 // stripEngine normalizes an engine error for cross-engine comparison:
@@ -279,28 +279,28 @@ func runSanitized(src string, cross bool, out *Outcome) (caught bool, detail str
 	if err != nil {
 		return false, fmt.Sprintf(" (sanitized compile failed: %v)", err)
 	}
-	fails, err := c.RunSanitized("")
+	r, err := c.Exec(driver.RunOpts{})
 	if err != nil {
 		return false, fmt.Sprintf(" (sanitized run failed: %v)", err)
 	}
 	if cross {
-		crossCheckSanitized(c, fails, out)
+		crossCheckSanitized(c, r.Failures, out)
 	}
-	if len(fails) == 0 {
+	if len(r.Failures) == 0 {
 		return false, ""
 	}
-	return true, ": " + fails[0].Error()
+	return true, ": " + r.Failures[0].Error()
 }
 
 // crossCheckSanitized replays the sanitized program on the oracle
 // engine and compares the failure stream against the default engine's.
 func crossCheckSanitized(c *driver.Compilation, got []*interp.SanitizerFailure, out *Outcome) {
-	m := c.NewMachineOn(driver.EngineTree)
-	if _, err := m.RunArgs("main"); err != nil {
+	r, err := c.Exec(driver.RunOpts{Engine: driver.EngineTree})
+	if err != nil {
 		out.flag(KindEngineMismatch, "sanitized: tree run failed where default engine succeeded: %v", err)
 		return
 	}
-	want := m.SanitizerFailures()
+	want := r.Failures
 	if len(want) != len(got) {
 		out.flag(KindEngineMismatch, "sanitized: failure count tree=%d vm-default=%d",
 			len(want), len(got))

@@ -326,12 +326,6 @@ func (m *Machine) Run(name string, args ...Val) (Val, error) {
 	return v, err
 }
 
-// RunMain executes main().
-func (m *Machine) RunMain() (int64, error) {
-	v, err := m.Run("main")
-	return v.AsInt(), err
-}
-
 // RunArgs executes name with the given int64 arguments (convenience).
 func (m *Machine) RunArgs(name string, args ...int64) (int64, error) {
 	vs := make([]Val, len(args))

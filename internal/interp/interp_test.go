@@ -86,11 +86,11 @@ func TestRegisterVsMemoryCost(t *testing.T) {
 		return m
 	}
 	mr := New(build(true), DefaultCosts())
-	if _, err := mr.RunMain(); err != nil {
+	if _, err := mr.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	mm := New(build(false), DefaultCosts())
-	if _, err := mm.RunMain(); err != nil {
+	if _, err := mm.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if mr.Cycles >= mm.Cycles {
@@ -123,7 +123,7 @@ func TestVectorOps(t *testing.T) {
 	m.Funcs = append(m.Funcs, f)
 
 	mach := New(m, DefaultCosts())
-	got, err := mach.RunMain()
+	got, err := mach.RunArgs("main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestVecSelectAndCmp(t *testing.T) {
 		Args: []ir.Value{sel}})
 	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{red}})
 	m.Funcs = append(m.Funcs, f)
-	got, err := New(m, DefaultCosts()).RunMain()
+	got, err := New(m, DefaultCosts()).RunArgs("main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestUBCheckRecording(t *testing.T) {
 	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{ir.ConstInt(ir.I64, 0)}})
 	m.Funcs = append(m.Funcs, f)
 	mach := New(m, DefaultCosts())
-	if _, err := mach.RunMain(); err != nil {
+	if _, err := mach.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if len(mach.SanFailures) != 1 {
@@ -200,10 +200,10 @@ func TestMustNotAliasIsFree(t *testing.T) {
 	}
 	m1 := New(build(false), DefaultCosts())
 	m2 := New(build(true), DefaultCosts())
-	if _, err := m1.RunMain(); err != nil {
+	if _, err := m1.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.RunMain(); err != nil {
+	if _, err := m2.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if m1.Cycles != m2.Cycles || m1.Executed != m2.Executed {
@@ -229,10 +229,10 @@ func TestICachePenalty(t *testing.T) {
 	costs := DefaultCosts()
 	small := New(build(100), costs)
 	big := New(build(300), costs)
-	if _, err := small.RunMain(); err != nil {
+	if _, err := small.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := big.RunMain(); err != nil {
+	if _, err := big.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	perInstrSmall := (small.Cycles - costs.CallBase) / float64(small.Executed)
@@ -313,7 +313,7 @@ func TestMemset(t *testing.T) {
 	sum := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{ld, ld3}})
 	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{sum}})
 	m.Funcs = append(m.Funcs, f)
-	got, err := New(m, DefaultCosts()).RunMain()
+	got, err := New(m, DefaultCosts()).RunArgs("main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestIndirectCallByPseudoAddr(t *testing.T) {
 	call := b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Args: []ir.Value{fr}})
 	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{call}})
 	m.Funcs = append(m.Funcs, callee, f)
-	got, err := New(m, DefaultCosts()).RunMain()
+	got, err := New(m, DefaultCosts()).RunArgs("main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestStepBudget(t *testing.T) {
 	m.Funcs = append(m.Funcs, f)
 	mach := New(m, DefaultCosts())
 	mach.MaxSteps = 1000
-	if _, err := mach.RunMain(); err == nil {
+	if _, err := mach.RunArgs("main"); err == nil {
 		t.Error("infinite loop must hit the step budget")
 	}
 }

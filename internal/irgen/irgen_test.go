@@ -38,7 +38,7 @@ func runMain(t *testing.T, src string) int64 {
 	t.Helper()
 	mod := compile(t, src, Options{EmitPredicates: true})
 	m := interp.New(mod, interp.DefaultCosts())
-	v, err := m.RunMain()
+	v, err := m.RunArgs("main")
 	if err != nil {
 		t.Fatalf("interp: %v\n%s", err, mod)
 	}
@@ -250,7 +250,7 @@ int main() { run(&x, &y); return 0; }`
 	}
 	// Distinct pointers: no failure.
 	m := interp.New(mod, interp.DefaultCosts())
-	if _, err := m.RunMain(); err != nil {
+	if _, err := m.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.SanFailures) != 0 {
@@ -262,7 +262,7 @@ int x;
 int main() { run(&x, &x); return 0; }`
 	mod2 := compile(t, src2, Options{Sanitize: true})
 	m2 := interp.New(mod2, interp.DefaultCosts())
-	if _, err := m2.RunMain(); err != nil {
+	if _, err := m2.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if len(m2.SanFailures) == 0 {
@@ -290,7 +290,7 @@ func TestCyclesAccumulate(t *testing.T) {
   return s;
 }`, Options{})
 	m := interp.New(mod, interp.DefaultCosts())
-	if _, err := m.RunMain(); err != nil {
+	if _, err := m.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if m.Cycles <= 0 || m.Executed <= 0 {

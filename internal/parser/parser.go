@@ -5,7 +5,9 @@
 package parser
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -76,19 +78,31 @@ func builtinTypedefs() map[string]*ctypes.Type {
 	}
 }
 
-// ParseFile preprocesses src (with extraFiles available to #include and
-// defines applied) and parses it.
+// ParseFile preprocesses src (with extraFiles available to #include) and
+// parses it.
 func ParseFile(file, src string, extraFiles map[string]string) (*ast.TranslationUnit, []*Error) {
-	return ParseFileTimed(file, src, extraFiles, nil)
+	return ParseFileTimed(file, src, extraFiles, nil, nil)
 }
 
-// ParseFileTimed is ParseFile with sub-phase telemetry: preprocessing
-// and syntax analysis record separate spans (phase/parse/cpp and
-// phase/parse/syntax) nested under the driver's phase/parse, plus the
-// preprocessor's expansion counters. tel may be nil.
-func ParseFileTimed(file, src string, extraFiles map[string]string, tel *telemetry.Session) (*ast.TranslationUnit, []*Error) {
+// ParseFileTimed is ParseFile with predefined macros (-D name=body) and
+// sub-phase telemetry: preprocessing and syntax analysis record
+// separate spans (phase/parse/cpp and phase/parse/syntax) nested under
+// the driver's phase/parse, plus the preprocessor's expansion counters.
+// tel may be nil.
+func ParseFileTimed(file, src string, extraFiles, defines map[string]string, tel *telemetry.Session) (*ast.TranslationUnit, []*Error) {
 	pp := cpp.New(extraFiles)
 	pp.SetTelemetry(tel)
+	names := make([]string, 0, len(defines))
+	for name := range defines {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		var e *cpp.Error
+		if err := pp.Define(name, defines[name]); errors.As(err, &e) {
+			return nil, []*Error{{Pos: e.Pos, Msg: e.Msg}}
+		}
+	}
 	toks := pp.Process(file, src)
 	stop := tel.Span("phase/parse/syntax")
 	p := New(file, toks)

@@ -42,7 +42,7 @@ func build(t *testing.T, src string, emitPreds bool, opts Options) (*ir.Module, 
 func run(t *testing.T, mod *ir.Module) int64 {
 	t.Helper()
 	m := interp.New(mod, interp.DefaultCosts())
-	v, err := m.RunMain()
+	v, err := m.RunArgs("main")
 	if err != nil {
 		t.Fatalf("interp: %v\n%s", err, mod)
 	}

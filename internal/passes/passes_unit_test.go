@@ -258,10 +258,10 @@ func TestCyclesDeterministic(t *testing.T) {
 	mod, _ := build(t, src, true, DefaultOptions())
 	m1 := interp.New(mod, interp.DefaultCosts())
 	m2 := interp.New(mod, interp.DefaultCosts())
-	if _, err := m1.RunMain(); err != nil {
+	if _, err := m1.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.RunMain(); err != nil {
+	if _, err := m2.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
 	if m1.Cycles != m2.Cycles {

@@ -16,7 +16,7 @@ int main() { return run(&x, %s); }`
 
 	for _, arg := range []string{"&y", "&x"} {
 		src := fmt.Sprintf(kernel, arg)
-		rep, err := sanitizer.Check("example.c", src, nil, "")
+		rep, err := sanitizer.Check("example.c", src, nil, "", nil, nil)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

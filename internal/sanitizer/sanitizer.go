@@ -69,21 +69,10 @@ func (r Report) CallFreeFraction() float64 {
 
 // Check compiles src with sanitizer instrumentation (unoptimized IR, as
 // the paper prescribes), runs entry (default main), and reports any
-// must-not-alias violations.
-func Check(name, src string, files map[string]string, entry string) (*Report, error) {
-	return CheckTransformed(name, src, files, entry, nil)
-}
-
-// CheckTransformed is Check with an AST transform applied before the
-// analysis — used by the automatic annotator to validate its insertions.
-func CheckTransformed(name, src string, files map[string]string, entry string,
-	transform func(*ast.TranslationUnit)) (*Report, error) {
-	return CheckWith(name, src, files, entry, transform, nil)
-}
-
-// CheckWith is CheckTransformed with a telemetry session attached to the
-// compilation and the sanitized run.
-func CheckWith(name, src string, files map[string]string, entry string,
+// must-not-alias violations. transform, if set, rewrites the AST before
+// the analysis (the automatic annotator validates its insertions this
+// way); tel, if set, receives the compilation's and the run's telemetry.
+func Check(name, src string, files map[string]string, entry string,
 	transform func(*ast.TranslationUnit), tel *telemetry.Session) (*Report, error) {
 	c, err := driver.Compile(name, src, driver.Config{
 		OOElala:   true,
@@ -101,21 +90,12 @@ func CheckWith(name, src string, files map[string]string, entry string,
 		PredsWithCalls:  c.Frontend.PredsWithCalls,
 		BitfieldDropped: c.Frontend.BitfieldDropped,
 	}
-	m := c.NewMachineOn("")
-	if entry == "" {
-		entry = "main"
-	}
-	stop := tel.Span("phase/interp")
-	res, err := m.RunArgs(entry)
-	stop()
-	m.Report(tel)
-	fails := m.SanitizerFailures()
-	m.Release()
+	r, err := c.Exec(driver.RunOpts{Entry: entry})
 	if err != nil {
 		return rep, err
 	}
-	rep.Result = res
-	rep.Failures = convertFailures(fails, c.Module)
+	rep.Result = r.Value
+	rep.Failures = convertFailures(r.Failures, c.Module)
 	return rep, nil
 }
 

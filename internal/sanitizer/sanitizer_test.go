@@ -19,7 +19,7 @@ int main() {
   swap(&x, &y);
   return r + x * 10 + y;
 }`
-	rep, err := Check("clean", src, nil, "")
+	rep, err := Check("clean", src, nil, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ int main() {
   *p = ++i + 1;
   return i;
 }`
-	rep, err := Check("race", src, nil, "")
+	rep, err := Check("race", src, nil, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDoubleWriteCaught(t *testing.T) {
 int *p = &x;
 int *q = &x;
 int main() { return (*p = 1) + (*q = 2); }`
-	rep, err := Check("ww", src, nil, "")
+	rep, err := Check("ww", src, nil, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCallPredicatesSkipped(t *testing.T) {
 	src := `int *sel(int *p) { return p; }
 int a, b;
 int main() { return (*sel(&a) = 1) + (b = 2); }`
-	rep, err := Check("calls", src, nil, "")
+	rep, err := Check("calls", src, nil, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSanitizerAgreesWithCsem(t *testing.T) {
 				}
 			}
 
-			rep, err := Check(c.name, c.src, nil, "")
+			rep, err := Check(c.name, c.src, nil, "", nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestBitfieldPredicatesDropped(t *testing.T) {
 	src := `struct B { unsigned a : 3; unsigned b : 5; };
 struct B s;
 int main() { return (int)((s.a = 1) + (s.b = 2)); }`
-	rep, err := Check("bitfields", src, nil, "")
+	rep, err := Check("bitfields", src, nil, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAllWorkloadsSanitizeClean(t *testing.T) {
 	}
 	totalPreds, totalWithCalls := 0, 0
 	for _, p := range programs {
-		rep, err := Check(p.Name, p.Source, workload.Files(), "")
+		rep, err := Check(p.Name, p.Source, workload.Files(), "", nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}

@@ -1,14 +1,14 @@
 // Package vm compiles backend IR to a dense register-based bytecode and
-// executes it with a flat dispatch loop. It is the fast run leg behind
-// the -engine flag; the tree-walking interpreter (internal/interp) is
-// retained as the oracle. The correctness contract is bit-identical
-// cycles, results, and sanitizer verdicts versus interp (DESIGN.md §9):
-// the vm reuses interp's exported value model (interp.Val, ScalarBin,
-// CompareVals, ConvertVal, CallBuiltin, Lane) and the canonical ir
-// kernels, performs the same float cycle additions in the same order,
-// and reproduces interp's address assignment exactly (same global
-// layout, same stack-disciplined frame allocator, same reserved function
-// pseudo-address table).
+// executes it with a flat dispatch loop. It is the run leg behind
+// driver.Compilation.Exec; the tree-walking interpreter
+// (internal/interp) is retained as the tests' oracle. The correctness
+// contract is bit-identical cycles, results, and sanitizer verdicts
+// versus interp (DESIGN.md §9): the vm reuses interp's exported value
+// model (interp.Val, ScalarBin, CompareVals, ConvertVal, CallBuiltin,
+// Lane) and the canonical ir kernels, performs the same float cycle
+// additions in the same order, and reproduces interp's address
+// assignment exactly (same global layout, same stack-disciplined frame
+// allocator, same reserved function pseudo-address table).
 package vm
 
 import (

@@ -2,7 +2,9 @@ package repro_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"testing"
 
 	"repro/internal/driver"
@@ -93,8 +95,10 @@ func TestProfileAttributionParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			tRes, tCyc, tProf, tErr := c.ProfileRun(driver.EngineTree, "")
-			vRes, vCyc, vProf, vErr := c.ProfileRun(driver.EngineVM, "")
+			tr, tErr := c.Exec(driver.RunOpts{Engine: driver.EngineTree, Profile: true})
+			vr, vErr := c.Exec(driver.RunOpts{Engine: driver.EngineVM, Profile: true})
+			tRes, tCyc, tProf := tr.Value, tr.Cycles, tr.Profile
+			vRes, vCyc, vProf := vr.Value, vr.Cycles, vr.Profile
 			if (tErr == nil) != (vErr == nil) {
 				t.Fatalf("error divergence: tree=%v vm=%v", tErr, vErr)
 			}
@@ -145,10 +149,11 @@ func fusedSavings(p *profile.Profile) int64 {
 // renderAll renders every profile artifact form and returns the bytes.
 func renderAll(t *testing.T, c *driver.Compilation, src string) (pprof, annotate, folded []byte) {
 	t.Helper()
-	_, _, prof, err := c.ProfileRun(driver.EngineVM, "")
+	r, err := c.Exec(driver.RunOpts{Engine: driver.EngineVM, Profile: true})
 	if err != nil {
 		t.Fatalf("profile run: %v", err)
 	}
+	prof := r.Profile
 	var pb, ab, fb bytes.Buffer
 	if err := profile.WritePprof(&pb, prof); err != nil {
 		t.Fatalf("pprof: %v", err)
@@ -214,10 +219,11 @@ func TestProfileSourceAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	_, _, prof, err := c.ProfileRun(driver.EngineVM, "")
+	r, err := c.Exec(driver.RunOpts{Engine: driver.EngineVM, Profile: true})
 	if err != nil {
 		t.Fatalf("profile run: %v", err)
 	}
+	prof := r.Profile
 	total := prof.TotalCycles()
 	kernel := 0.0
 	unlocated := 0.0
@@ -250,10 +256,11 @@ func TestVMOpMixTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	_, _, prof, err := c.ProfileRun(driver.EngineVM, "")
+	r, err := c.Exec(driver.RunOpts{Engine: driver.EngineVM, Profile: true})
 	if err != nil {
 		t.Fatalf("profile run: %v", err)
 	}
+	prof := r.Profile
 	snap := tel.Snapshot()
 	var opSum, executed int64
 	seen := 0
@@ -277,5 +284,62 @@ func TestVMOpMixTelemetry(t *testing.T) {
 	if got := opSum + fusedSavings(prof); got != executed {
 		t.Errorf("op mix %d + fused %d = %d != instrs_executed %d",
 			opSum, fusedSavings(prof), got, executed)
+	}
+}
+
+// TestBenefitReport checks the committed ooelala-benefit/v1 artifact
+// (BENCH_attribution.json, written by ooebench -attribute): the vm run
+// leg produced it, bicg saves cycles, at least one π pair is credited
+// with bicg's savings, and every credited pair carries a provenance id.
+// Regenerate the file and rerun this test to check a fresh report.
+func TestBenefitReport(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_attribution.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Schema  string `json:"schema"`
+		Engine  string `json:"engine"`
+		Kernels []struct {
+			Kernel    string  `json:"kernel"`
+			Saved     float64 `json:"saved"`
+			Functions []struct {
+				Fn    string `json:"fn"`
+				Pairs []struct {
+					Meta int `json:"meta"`
+				} `json:"pairs"`
+			} `json:"functions"`
+		} `json:"kernels"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != "ooelala-benefit/v1" || rep.Engine != driver.EngineVM {
+		t.Errorf("schema %q engine %q, want ooelala-benefit/v1 on vm", rep.Schema, rep.Engine)
+	}
+	bicgs, bicgPairs := 0, 0
+	for _, k := range rep.Kernels {
+		if k.Kernel == "bicg" {
+			if bicgs == 0 && k.Saved <= 0 {
+				t.Errorf("bicg saved %v cycles, want > 0", k.Saved)
+			}
+			bicgs++
+		}
+		for _, fn := range k.Functions {
+			for _, p := range fn.Pairs {
+				if p.Meta <= 0 {
+					t.Errorf("%s/%s: π pair without provenance (meta %d)", k.Kernel, fn.Fn, p.Meta)
+				}
+				if k.Kernel == "bicg" {
+					bicgPairs++
+				}
+			}
+		}
+	}
+	if bicgs == 0 {
+		t.Error("no bicg entry")
+	}
+	if bicgPairs == 0 {
+		t.Error("no π pair credited with bicg's savings")
 	}
 }

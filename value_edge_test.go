@@ -48,11 +48,11 @@ int main() { return check() == %s ? 1 : 0; }
 					t.Fatalf("opt=%v compile: %v", opt, err)
 				}
 				for _, eng := range []string{driver.EngineTree, driver.EngineVM} {
-					res, _, err := cc.RunOn(eng, "")
+					r, err := cc.Exec(driver.RunOpts{Engine: eng})
 					if err != nil {
 						t.Fatalf("opt=%v engine=%s run: %v", opt, eng, err)
 					}
-					results = append(results, res)
+					results = append(results, r.Value)
 				}
 			}
 			for i, r := range results {
