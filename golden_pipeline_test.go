@@ -40,8 +40,9 @@ func goldenPrograms(t *testing.T) []string {
 // optimized IR, the pass/AA statistics, the optimization remarks, and
 // the alias-query audit log. Wall-clock data is deliberately excluded.
 // With audit off the session keeps no audit log and the artifact ends
-// before the audit section.
-func pipelineArtifact(t *testing.T, path string, jobs int, audit bool) string {
+// before the audit section. A nil opts compiles with the driver's
+// default pass options.
+func pipelineArtifact(t *testing.T, path string, jobs int, audit bool, opts *passes.Options) string {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -49,10 +50,11 @@ func pipelineArtifact(t *testing.T, path string, jobs int, audit bool) string {
 	}
 	tel := telemetry.New(telemetry.Config{Metrics: true, Remarks: true, Audit: audit})
 	c, err := driver.Compile(path, string(src), driver.Config{
-		OOElala:   true,
-		Files:     workload.Files(),
-		Jobs:      jobs,
-		Telemetry: tel,
+		OOElala:     true,
+		Files:       workload.Files(),
+		Jobs:        jobs,
+		Telemetry:   tel,
+		PassOptions: opts,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
@@ -95,7 +97,7 @@ func TestGoldenDefaultPipeline(t *testing.T) {
 	for _, prog := range goldenPrograms(t) {
 		prog := prog
 		t.Run(filepath.Base(prog), func(t *testing.T) {
-			got := pipelineArtifact(t, prog, 1, true)
+			got := pipelineArtifact(t, prog, 1, true, nil)
 			gp := goldenPath(prog)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(gp), 0o755); err != nil {
@@ -113,7 +115,7 @@ func TestGoldenDefaultPipeline(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("pipeline output for %s diverges from the committed golden (j=1)", prog)
 			}
-			if got4 := pipelineArtifact(t, prog, 4, true); got4 != string(want) {
+			if got4 := pipelineArtifact(t, prog, 4, true, nil); got4 != string(want) {
 				t.Errorf("pipeline output for %s diverges from the committed golden (j=4)", prog)
 			}
 		})
@@ -136,11 +138,67 @@ func TestGoldenAuditOff(t *testing.T) {
 				t.Fatalf("%s has no audit section", goldenPath(prog))
 			}
 			for _, jobs := range []int{1, 4} {
-				if got := pipelineArtifact(t, prog, jobs, false); got != want {
+				if got := pipelineArtifact(t, prog, jobs, false, nil); got != want {
 					t.Errorf("audit-off output for %s diverges from the committed golden (j=%d)", prog, jobs)
 				}
 			}
 		})
+	}
+}
+
+// TestPipelineEquivalence is the pass manager's plumbing gate. Over the
+// golden corpus, the spelled-out passes.DefaultPipelineSpec must give
+// byte-for-byte the IR, stats, remarks and audit log of the built-in
+// default pipeline at -j 1 and -j 4, and -verify-each must stay clean.
+// The analysis cache counters must both be live, so a refactor that
+// silently stops caching fails here rather than in a profile.
+func TestPipelineEquivalence(t *testing.T) {
+	spelled, err := passes.ParsePipeline(passes.DefaultPipelineSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range goldenPrograms(t) {
+		prog := prog
+		t.Run(filepath.Base(prog), func(t *testing.T) {
+			for _, jobs := range []int{1, 4} {
+				opts := passes.DefaultOptions()
+				opts.Pipeline = spelled
+				if pipelineArtifact(t, prog, jobs, true, nil) != pipelineArtifact(t, prog, jobs, true, &opts) {
+					t.Errorf("spelled-out pipeline diverges from the default (j=%d)", jobs)
+				}
+			}
+			src, err := os.ReadFile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := passes.DefaultOptions()
+			opts.VerifyEach = true
+			if _, err := driver.Compile(prog, string(src), driver.Config{
+				OOElala: true, Files: workload.Files(), Jobs: 4, PassOptions: &opts,
+			}); err != nil {
+				t.Errorf("verify-each: %v", err)
+			}
+		})
+	}
+
+	src, err := os.ReadFile("examples/minmax.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(telemetry.Config{Metrics: true})
+	if _, err := driver.Compile("minmax.c", string(src), driver.Config{
+		OOElala: true, Files: workload.Files(), Telemetry: tel,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	counters := map[string]int64{}
+	for _, c := range tel.Snapshot().Counters {
+		counters[c.Name] = c.Value
+	}
+	for _, name := range []string{"analysis/cache_hits", "analysis/cache_misses"} {
+		if counters[name] <= 0 {
+			t.Errorf("%s = %d, want > 0", name, counters[name])
+		}
 	}
 }
 

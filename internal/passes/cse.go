@@ -1,7 +1,8 @@
 package passes
 
 import (
-	"fmt"
+	"encoding/binary"
+	"math"
 
 	"repro/internal/aa"
 	"repro/internal/ir"
@@ -24,44 +25,90 @@ type availMem struct {
 // insertion order of the live entries is preserved.
 type memEntry struct {
 	ptr  ir.Value
-	e    *availMem
+	e    availMem
 	dead bool
 }
 
 // memTable is an insertion-ordered ptr -> availMem map. The invalidation
 // walk iterates it issuing alias queries, and the audit log must observe
 // those queries in a deterministic order — a plain map's random range
-// order would make the -aa-audit artifact differ run to run.
+// order would make the -aa-audit artifact differ run to run. Entries are
+// held by value and the table is reset, not reallocated, per block.
 type memTable struct {
-	entries []*memEntry
-	byPtr   map[ir.Value]*memEntry // live entries only
+	entries []memEntry
+	byPtr   map[ir.Value]int // live entries only: ptr -> index in entries
 }
 
 func newMemTable() *memTable {
-	return &memTable{byPtr: map[ir.Value]*memEntry{}}
+	return &memTable{byPtr: map[ir.Value]int{}}
 }
 
-func (t *memTable) get(p ir.Value) (*availMem, bool) {
-	if en, ok := t.byPtr[p]; ok {
-		return en.e, true
+func (t *memTable) reset() {
+	t.entries = t.entries[:0]
+	clear(t.byPtr)
+}
+
+func (t *memTable) get(p ir.Value) (availMem, bool) {
+	if i, ok := t.byPtr[p]; ok {
+		return t.entries[i].e, true
 	}
-	return nil, false
+	return availMem{}, false
 }
 
-func (t *memTable) put(p ir.Value, e *availMem) {
-	if en, ok := t.byPtr[p]; ok {
-		en.e = e
+func (t *memTable) put(p ir.Value, e availMem) {
+	if i, ok := t.byPtr[p]; ok {
+		t.entries[i].e = e
 		return
 	}
-	en := &memEntry{ptr: p, e: e}
-	t.byPtr[p] = en
-	t.entries = append(t.entries, en)
+	t.byPtr[p] = len(t.entries)
+	t.entries = append(t.entries, memEntry{ptr: p, e: e})
 }
 
 func (t *memTable) del(p ir.Value) {
-	if en, ok := t.byPtr[p]; ok {
-		en.dead = true
+	if i, ok := t.byPtr[p]; ok {
+		t.entries[i].dead = true
 		delete(t.byPtr, p)
+	}
+}
+
+// invalidate drops every entry a write of size bytes at writePtr may
+// clobber; a nil writePtr clobbers everything.
+func (t *memTable) invalidate(mgr *aa.Manager, writePtr ir.Value, size int) {
+	for i := range t.entries {
+		en := &t.entries[i]
+		if en.dead {
+			continue
+		}
+		if writePtr == nil || mgr.Alias(aa.Location{Ptr: en.ptr, Size: 8},
+			aa.Location{Ptr: writePtr, Size: size}) != aa.NoAlias {
+			t.del(en.ptr)
+		} else {
+			en.noteKept(mgr)
+		}
+	}
+}
+
+// invalidateCall drops only the entries the call's summary says it may
+// write, instead of clearing the whole table.
+func (t *memTable) invalidateCall(mgr *aa.Manager, call *ir.Instr) {
+	for i := range t.entries {
+		en := &t.entries[i]
+		if en.dead {
+			continue
+		}
+		if mgr.CallModRef(call, aa.Location{Ptr: en.ptr, Size: 8})&aa.ModEffect != 0 {
+			t.del(en.ptr)
+		} else {
+			en.noteKept(mgr)
+		}
+	}
+}
+
+// noteKept records the first unseq-aa answer that kept en available.
+func (en *memEntry) noteKept(mgr *aa.Manager) {
+	if att := mgr.Last(); att.UnseqDecided && !en.e.unseqKept {
+		en.e.unseqKept = true
+		en.e.meta = att.PredicateMeta
 	}
 }
 
@@ -75,47 +122,21 @@ func (t *memTable) del(p ir.Value) {
 func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Session) int {
 	defer mgr.SetPass(mgr.SetPass("earlycse"))
 	removed := 0
+	avail := map[vnKey]*ir.Instr{} // pure value numbering
+	loads := newMemTable()         // ptr -> load instr providing value
+	stored := newMemTable()        // ptr -> last stored value
+	seenFacts := map[[2]ir.Value]bool{}
 	for _, b := range f.Blocks {
-		avail := map[string]*ir.Instr{} // pure value numbering
-		loads := newMemTable()          // ptr -> load instr providing value
-		stored := newMemTable()         // ptr -> last stored value
-		seenFacts := map[[2]ir.Value]bool{}
+		clear(avail)
+		loads.reset()
+		stored.reset()
+		clear(seenFacts)
 
-		invalidateTable := func(t *memTable, writePtr ir.Value, size int) {
-			for _, en := range t.entries {
-				if en.dead {
-					continue
-				}
-				if writePtr == nil || mgr.Alias(aa.Location{Ptr: en.ptr, Size: 8},
-					aa.Location{Ptr: writePtr, Size: size}) != aa.NoAlias {
-					t.del(en.ptr)
-				} else if att := mgr.Last(); att.UnseqDecided && !en.e.unseqKept {
-					en.e.unseqKept = true
-					en.e.meta = att.PredicateMeta
-				}
-			}
-		}
-		// invalidateCallTable drops only the entries the call's summary
-		// says it may write, instead of clearing the whole table.
-		invalidateCallTable := func(t *memTable, call *ir.Instr) {
-			for _, en := range t.entries {
-				if en.dead {
-					continue
-				}
-				if mgr.CallModRef(call, aa.Location{Ptr: en.ptr, Size: 8})&aa.ModEffect != 0 {
-					t.del(en.ptr)
-				} else if att := mgr.Last(); att.UnseqDecided && !en.e.unseqKept {
-					en.e.unseqKept = true
-					en.e.meta = att.PredicateMeta
-				}
-			}
-		}
 		invalidate := func(writePtr ir.Value, size int) {
-			invalidateTable(loads, writePtr, size)
-			invalidateTable(stored, writePtr, size)
+			loads.invalidate(mgr, writePtr, size)
+			stored.invalidate(mgr, writePtr, size)
 		}
-
-		memRemark := func(kind string, e *availMem) {
+		memRemark := func(kind string, e availMem) {
 			if tel.RemarksEnabled() {
 				tel.Remark(telemetry.Remark{
 					Pass: "earlycse", Function: f.Name, Loc: b.Name, Kind: kind,
@@ -169,12 +190,12 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					memRemark("LoadEliminated", e)
 					continue
 				}
-				loads.put(ptr, &availMem{load: in})
+				loads.put(ptr, availMem{load: in})
 
 			case in.Op == ir.OpStore && !in.Volatile:
 				ptr := in.Args[0]
 				invalidate(ptr, accessSize(in))
-				stored.put(ptr, &availMem{val: in.Args[1]})
+				stored.put(ptr, availMem{val: in.Args[1]})
 				loads.del(ptr)
 
 			case in.Op == ir.OpVecStore || in.Op == ir.OpMemset || in.Op == ir.OpMemcpy:
@@ -182,12 +203,10 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 				invalidate(ptr, size)
 
 			case in.Op == ir.OpCall:
-				reads, writes := callEffects(mod, in)
-				_ = reads
-				if writes {
+				if _, writes := callEffects(mod, in); writes {
 					if mgr.HasSummaries() {
-						invalidateCallTable(loads, in)
-						invalidateCallTable(stored, in)
+						loads.invalidateCall(mgr, in)
+						stored.invalidateCall(mgr, in)
 					} else {
 						invalidate(nil, 0)
 					}
@@ -217,36 +236,107 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 	return removed
 }
 
-// valueKey builds a structural hash key for pure instructions.
-func valueKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d|%d|%d|%d|%d|%d|%t", in.Op, in.Cls, in.Scale, in.Off, in.Pred, in.VecOp, in.Unsigned)
-	for _, a := range in.Args {
-		key += "|" + argKey(a)
+// vnKey is the value-numbering key of a pure instruction: two
+// instructions with equal keys compute the same value. It is comparable,
+// so building and looking one up allocates nothing. Operands past the
+// third (no pure op has them today) are encoded into wide.
+type vnKey struct {
+	op, vecOp  ir.Op
+	cls        ir.Class
+	pred       ir.Pred
+	scale, off int
+	width      int
+	unsigned   bool
+	nargs      int
+	args       [3]operandKey
+	wide       string
+}
+
+// valueKey builds the value-numbering key of a pure instruction.
+func valueKey(in *ir.Instr) vnKey {
+	k := vnKey{
+		op: in.Op, vecOp: in.VecOp, cls: in.Cls, pred: in.Pred,
+		scale: in.Scale, off: in.Off, width: in.Width,
+		unsigned: in.Unsigned, nargs: len(in.Args),
 	}
-	return key
+	var wide []byte
+	for i, a := range in.Args {
+		if i < len(k.args) {
+			k.args[i] = operandKeyOf(a)
+		} else {
+			wide = operandKeyOf(a).appendTo(wide)
+		}
+	}
+	k.wide = string(wide)
+	return k
+}
+
+// operandKind tells the operand namespaces apart, so a global and a
+// function reference of one name, or a parameter index and an
+// instruction ID of one number, never collide.
+type operandKind uint8
+
+const (
+	opndOther operandKind = iota // nil or an unknown Value type
+	opndInt
+	opndFloat
+	opndGlobal
+	opndParam
+	opndFunc
+	opndInstr
+)
+
+// operandKey identifies an instruction operand for value numbering.
+// Integer constants compare by value whatever their class; float
+// constants by bit pattern, with every NaN folded into one key (and
+// -0 kept apart from 0); instructions by ID, parameters by index, and
+// globals and function references by name.
+type operandKey struct {
+	kind operandKind
+	n    int64
+	name string
+}
+
+func operandKeyOf(a ir.Value) operandKey {
+	switch x := a.(type) {
+	case *ir.Const:
+		if x.Cls.IsFloat() {
+			if math.IsNaN(x.F) {
+				return operandKey{kind: opndFloat, n: -1}
+			}
+			return operandKey{kind: opndFloat, n: int64(math.Float64bits(x.F))}
+		}
+		return operandKey{kind: opndInt, n: x.I}
+	case *ir.Global:
+		return operandKey{kind: opndGlobal, name: x.Name}
+	case *ir.Param:
+		return operandKey{kind: opndParam, n: int64(x.Idx)}
+	case *ir.FuncRef:
+		return operandKey{kind: opndFunc, name: x.Name}
+	case *ir.Instr:
+		return operandKey{kind: opndInstr, n: int64(x.ID)}
+	}
+	return operandKey{}
+}
+
+func (k operandKey) appendTo(b []byte) []byte {
+	b = append(b, byte(k.kind))
+	b = binary.AppendVarint(b, k.n)
+	b = binary.AppendUvarint(b, uint64(len(k.name)))
+	return append(b, k.name...)
 }
 
 // lessValue is an arbitrary-but-stable order on values for fact
 // normalization.
-func lessValue(a, b ir.Value) bool { return argKey(a) < argKey(b) }
-
-func argKey(a ir.Value) string {
-	switch x := a.(type) {
-	case *ir.Const:
-		if x.Cls.IsFloat() {
-			return fmt.Sprintf("cf%g", x.F)
-		}
-		return fmt.Sprintf("ci%d", x.I)
-	case *ir.Global:
-		return "g" + x.Name
-	case *ir.Param:
-		return fmt.Sprintf("p%d", x.Idx)
-	case *ir.FuncRef:
-		return "f" + x.Name
-	case *ir.Instr:
-		return fmt.Sprintf("v%d", x.ID)
+func lessValue(a, b ir.Value) bool {
+	x, y := operandKeyOf(a), operandKeyOf(b)
+	if x.kind != y.kind {
+		return x.kind < y.kind
 	}
-	return "?"
+	if x.n != y.n {
+		return x.n < y.n
+	}
+	return x.name < y.name
 }
 
 // instCombine folds algebraic identities and constant expressions; the
