@@ -26,10 +26,6 @@
 // baseline's by more than the tolerance regresses. CI uses this to gate
 // run-leg dispatch overhead (profiling off must stay within 2% of the
 // base commit).
-//
-// The shared observability flags (-obs-addr, -profile-cpu,
-// -profile-mem) are accepted for CLI uniformity; for this short-lived
-// diff they mostly matter when debugging benchdiff itself.
 package main
 
 import (
@@ -40,9 +36,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/telemetry"
-	"repro/internal/telemetry/obsserver"
 )
 
 type benchJSON struct {
@@ -65,18 +58,10 @@ func main() {
 	tol := flag.Float64("tolerance", 10, "allowed regression in percent")
 	metrics := flag.Bool("metrics", false, "diff per-span timing from two -metrics-json files instead of bench tables")
 	gobench := flag.Bool("gobench", false, "diff ns/op from two `go test -bench` output files instead of bench tables")
-	obs := obsserver.RegisterFlags(flag.CommandLine)
 	flag.Parse()
-	var telCfg telemetry.Config
-	obs.Enable(&telCfg)
-	obsHandle, err := obs.Start(telemetry.New(telCfg))
-	if err != nil {
-		fatal(err)
-	}
-	defer obsHandle.Close()
 	if flag.NArg() != 2 || *metrics && *gobench {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-metrics|-gobench] [-tolerance pct] baseline current")
-		obsserver.Exit(2)
+		os.Exit(2)
 	}
 	if *metrics {
 		diffMetrics(flag.Arg(0), flag.Arg(1), *tol)
@@ -138,7 +123,7 @@ func main() {
 
 	if regressions > 0 {
 		fmt.Printf("benchdiff: %d regression(s) beyond %.1f%% tolerance\n", regressions, *tol)
-		obsserver.Exit(1)
+		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: all rows within %.1f%% tolerance\n", *tol)
 }
@@ -201,7 +186,7 @@ func diffGoBench(basePath, curPath string, tol float64) {
 	}
 	if regressions > 0 {
 		fmt.Printf("%d regression(s) beyond %.1f%%\n", regressions, tol)
-		obsserver.Exit(1)
+		os.Exit(1)
 	}
 	fmt.Println("no regressions")
 }
@@ -290,7 +275,7 @@ func diffMetrics(basePath, curPath string, tol float64) {
 	}
 	if regressions > 0 {
 		fmt.Printf("benchdiff: %d span regression(s) beyond %.1f%% tolerance\n", regressions, tol)
-		obsserver.Exit(1)
+		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: all spans within %.1f%% tolerance\n", tol)
 }
@@ -337,9 +322,7 @@ func load(path string) (*benchJSON, error) {
 	return &b, nil
 }
 
-// fatal exits through obsserver.Exit so a live -obs-addr listener or
-// an in-progress CPU profile is torn down even on error paths.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	obsserver.Exit(1)
+	os.Exit(1)
 }

@@ -19,9 +19,9 @@
 // Telemetry flags (-stats, -time-passes, -remarks, -metrics-json,
 // -metrics-prom) attach a telemetry session to the OOElala-side
 // compilations and runs; -json writes a BENCH_ooebench.json artifact
-// with the table 4/6 rows. The observability flags (-obs-addr,
-// -profile-cpu, -profile-mem, -crash-dir) serve live /metrics and
-// pprof from the same session while the tables run.
+// with the table 4/6 rows. -profile-cpu and -profile-mem profile the
+// whole run, and -crash-dir routes crash-<unit>.json flight-recorder
+// dumps.
 package main
 
 import (
@@ -114,11 +114,9 @@ func main() {
 	if err := pf.Apply(); err != nil {
 		fatal(err)
 	}
-	telCfg := tf.Config()
-	obs.Enable(&telCfg)
 	driver.SetDefaultCrashDir(obs.CrashDir)
-	tel = telemetry.New(telCfg)
-	obsHandle, err := obs.Start(tel)
+	tel = telemetry.New(tf.Config())
+	obsHandle, err := obs.Start()
 	if err != nil {
 		fatal(err)
 	}
@@ -167,9 +165,9 @@ func main() {
 	}
 }
 
-// fatal exits through obsserver.Exit so a live -obs-addr listener or an
-// in-progress CPU profile is torn down even on error paths (every
-// os.Exit here skips the deferred Close).
+// fatal exits through obsserver.Exit so an in-progress CPU profile is
+// flushed even on error paths (every os.Exit here skips the deferred
+// Close).
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ooebench:", err)
 	obsserver.Exit(1)

@@ -5,10 +5,9 @@
 // the sanitizer build, and reports any divergence as a JSON crash
 // report. Exit status: 0 clean, 1 findings (or internal error), 2 usage.
 //
-// Long sweeps can be watched live: -obs-addr serves /metrics,
-// /debug/pprof/, /healthz and /buildinfo while the fuzzer runs, and
 // -crash-dir routes any crash-<unit>.json flight-recorder dumps from
-// pass panics inside the fuzzed compilations.
+// pass panics inside the fuzzed compilations, and -profile-cpu /
+// -profile-mem profile a long sweep.
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"repro/internal/csem"
 	"repro/internal/driver"
 	"repro/internal/fuzz"
-	"repro/internal/telemetry"
 	"repro/internal/telemetry/obsserver"
 )
 
@@ -61,10 +59,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var telCfg telemetry.Config
-	obs.Enable(&telCfg)
 	driver.SetDefaultCrashDir(obs.CrashDir)
-	obsHandle, err := obs.Start(telemetry.New(telCfg))
+	obsHandle, err := obs.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ooefuzz:", err)
 		os.Exit(1)

@@ -20,7 +20,6 @@
 //	-metrics-prom  write metrics in Prometheus text format to the given path
 //	-trace         write a Chrome trace_event JSON timeline (Perfetto-viewable)
 //	-aa-audit      write the alias-query audit log as JSON
-//	-obs-addr      serve live /metrics, /debug/pprof/, /healthz, /buildinfo on the given address
 //	-profile-cpu   write a whole-run CPU profile
 //	-profile-mem   write an end-of-run heap profile
 //	-profile-cycles write a pprof protobuf profile of simulated cycles by source line (implies -run)
@@ -117,10 +116,9 @@ func main() {
 		telCfg.Remarks = true
 		telCfg.Audit = true
 	}
-	obs.Enable(&telCfg)
 	driver.SetDefaultCrashDir(obs.CrashDir)
 	tel := telemetry.New(telCfg)
-	obsHandle, err := obs.Start(tel)
+	obsHandle, err := obs.Start()
 	if err != nil {
 		fatal(err)
 	}
@@ -254,9 +252,9 @@ func writeProfile(path string, render func(io.Writer) error) error {
 	return f.Close()
 }
 
-// fatal exits through obsserver.Exit so a live -obs-addr listener or
-// an in-progress CPU profile is torn down even on error paths (the
-// deferred Close never runs past os.Exit).
+// fatal exits through obsserver.Exit so an in-progress CPU profile is
+// flushed even on error paths (the deferred Close never runs past
+// os.Exit).
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ooelala:", err)
 	obsserver.Exit(1)

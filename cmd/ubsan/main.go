@@ -11,9 +11,9 @@
 // for every violation, the violated π pair's provenance id, expression
 // spellings, and the two source ranges — not just the assertion site.
 // The telemetry flags -stats, -time-passes, -remarks, -metrics-json and
-// -metrics-prom report on the instrumented compilation and run; the
-// observability flags -obs-addr, -profile-cpu, -profile-mem and
-// -crash-dir serve live /metrics+pprof and route crash dumps.
+// -metrics-prom report on the instrumented compilation and run;
+// -profile-cpu and -profile-mem profile the whole run, and -crash-dir
+// routes crash dumps.
 package main
 
 import (
@@ -52,11 +52,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ubsan:", err)
 		os.Exit(1)
 	}
-	telCfg := tf.Config()
-	obs.Enable(&telCfg)
 	driver.SetDefaultCrashDir(obs.CrashDir)
-	tel := telemetry.New(telCfg)
-	obsHandle, err := obs.Start(tel)
+	tel := telemetry.New(tf.Config())
+	obsHandle, err := obs.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ubsan:", err)
 		os.Exit(1)
@@ -91,5 +89,5 @@ func main() {
 	for _, f := range rep.Failures {
 		fmt.Println("VIOLATION:", f)
 	}
-	obsserver.Exit(1) // os.Exit would skip the defer; flush profiles and close the listener first
+	obsserver.Exit(1) // os.Exit would skip the defer; flush profiles first
 }

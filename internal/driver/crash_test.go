@@ -149,8 +149,10 @@ func TestCrashDumpWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// The committed golden keeps the dump schema honest (CI jq-validates
-// it); volatile fields (timestamps, stack) are normalized.
+// The committed golden keeps the dump schema honest; volatile fields
+// (timestamps, stack) are normalized. The schema contract is asserted
+// on the decoded dump before the byte compare, so -update cannot commit
+// a golden that breaks it.
 func TestCrashDumpGolden(t *testing.T) {
 	dir := t.TempDir()
 	tel := telemetry.New(telemetry.Config{Flight: true})
@@ -172,6 +174,7 @@ func TestCrashDumpGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		t.Fatal(err)
 	}
+	checkCrashSchema(t, &d)
 	for i := range d.Flight {
 		d.Flight[i].TUS = 0
 	}
@@ -198,6 +201,68 @@ func TestCrashDumpGolden(t *testing.T) {
 	if string(want) != string(norm) {
 		t.Fatalf("crash dump drifted from golden (regenerate with -update if intended)\n-- got --\n%s\n-- want --\n%s",
 			norm, want)
+	}
+}
+
+// checkCrashSchema asserts the ooelala-crash/v1 contract external
+// consumers of the golden rely on.
+func checkCrashSchema(t *testing.T, d *telemetry.CrashDump) {
+	t.Helper()
+	if d.Schema != "ooelala-crash/v1" {
+		t.Errorf("schema = %q, want ooelala-crash/v1", d.Schema)
+	}
+	if d.Unit != "crashy.c" || d.Function != "zz_boom" || d.Pass != "panicpass" {
+		t.Errorf("attribution = (%q, %q, %q), want (crashy.c, zz_boom, panicpass)", d.Unit, d.Function, d.Pass)
+	}
+	if !strings.Contains(d.Panic, "injected failure") {
+		t.Errorf("panic text %q lacks the injected failure", d.Panic)
+	}
+	if len(d.Flight) < 32 || d.FlightTotal < uint64(len(d.Flight)) {
+		t.Errorf("flight holds %d events of %d recorded, want >= 32 and total >= held", len(d.Flight), d.FlightTotal)
+	}
+	panicEv := false
+	for i, ev := range d.Flight {
+		if i > 0 && d.Flight[i-1].Seq >= ev.Seq {
+			t.Errorf("flight seq not strictly increasing at %d: %d then %d", i, d.Flight[i-1].Seq, ev.Seq)
+		}
+		if ev.Kind == "panic" && ev.Func == "zz_boom" {
+			panicEv = true
+		}
+	}
+	if !panicEv {
+		t.Error("flight recording has no panic event for zz_boom")
+	}
+}
+
+// A clean compile of the golden corpus writes no crash dumps.
+func TestCleanRunWritesNoCrashDumps(t *testing.T) {
+	progs, err := filepath.Glob("../../testdata/fuzz/regressions/*.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(progs) == 0 {
+		t.Fatal("no regression programs found")
+	}
+	progs = append(progs, "../../examples/minmax.c")
+	dir := t.TempDir()
+	for _, prog := range progs {
+		src, err := os.ReadFile(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.New(telemetry.Config{Metrics: true, Audit: true, Flight: true})
+		if _, err := Compile(filepath.Base(prog), string(src), Config{
+			OOElala: true, Jobs: 4, Telemetry: tel, CrashDir: dir,
+		}); err != nil {
+			t.Fatalf("%s: %v", prog, err)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("unexpected crash dump from a clean run: %s", e.Name())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/aa"
 	"repro/internal/ir"
@@ -56,9 +55,7 @@ func runFuncs(mod *ir.Module, opts Options, aaStats *aa.Stats, ma *ModuleAnalyse
 	if jobs == 1 || n == 1 {
 		errs := make([]error, 0, n)
 		for _, f := range mod.Funcs {
-			start := time.Now()
 			st, err := runFunc(mod, f, opts, aaStats, nil, sums)
-			opts.Telemetry.AddLaneBusy(time.Since(start))
 			total.Add(st)
 			errs = append(errs, err)
 		}
@@ -142,9 +139,7 @@ func runFuncs(mod *ir.Module, opts Options, aaStats *aa.Stats, ma *ModuleAnalyse
 					o := opts
 					o.Telemetry = tel.ForkLane(lane)
 					r.tel = o.Telemetry
-					start := time.Now()
 					r.stats, r.err = runFunc(mod, mod.Funcs[i], o, &r.aa, resolveFor(i), sums)
-					o.Telemetry.AddLaneBusy(time.Since(start))
 				}()
 				for _, d := range dependents[i] {
 					if atomic.AddInt32(&depCount[d], -1) == 0 {

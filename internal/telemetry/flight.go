@@ -43,8 +43,8 @@ type FlightEvent struct {
 	Func string `json:"func,omitempty"`
 }
 
-// flightLane is one lane's bounded ring plus its crash-attribution and
-// utilization state.
+// flightLane is one lane's bounded ring plus its crash-attribution
+// state.
 type flightLane struct {
 	mu    sync.Mutex
 	ring  []FlightEvent
@@ -55,9 +55,6 @@ type flightLane struct {
 	// executing" answer even when the panic unwound past the pass.
 	activePass string
 	activeFunc string
-	// busyNS accumulates wall time this lane spent inside runFunc; the
-	// runtime sampler differentiates it into a utilization gauge.
-	busyNS atomic.Int64
 }
 
 // FlightRecorder is the set of per-lane rings. It is shared by every
@@ -136,22 +133,6 @@ func (r *FlightRecorder) Active(lane int) (pass, fn string) {
 	pass, fn = l.activePass, l.activeFunc
 	l.mu.Unlock()
 	return pass, fn
-}
-
-// AddBusy accumulates wall time lane spent doing work (utilization).
-func (r *FlightRecorder) AddBusy(lane int, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.laneFor(lane).busyNS.Add(int64(d))
-}
-
-// BusyNS returns the cumulative busy time recorded for lane.
-func (r *FlightRecorder) BusyNS(lane int) int64 {
-	if r == nil {
-		return 0
-	}
-	return r.laneFor(lane).busyNS.Load()
 }
 
 // LaneEvents copies lane's ring, oldest first.
@@ -234,15 +215,6 @@ func (s *Session) SetActivePass(pass, fn string) {
 		return
 	}
 	s.flight.SetActive(s.lane, pass, fn)
-}
-
-// AddLaneBusy accumulates busy wall time on the session's lane; the
-// runtime sampler turns the series into a utilization gauge.
-func (s *Session) AddLaneBusy(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.flight.AddBusy(s.lane, d)
 }
 
 // Lane returns the session's trace/flight lane.

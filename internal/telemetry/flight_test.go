@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestFlightRingBoundsAndOrder(t *testing.T) {
@@ -65,7 +64,7 @@ func TestFlightLaneFolding(t *testing.T) {
 	}
 }
 
-func TestFlightActiveAndBusy(t *testing.T) {
+func TestFlightActive(t *testing.T) {
 	s := New(Config{Flight: true})
 	s.SetActivePass("licm", "kernel")
 	if p, f := s.Flight().Active(0); p != "licm" || f != "kernel" {
@@ -74,11 +73,6 @@ func TestFlightActiveAndBusy(t *testing.T) {
 	s.SetActivePass("", "")
 	if p, f := s.Flight().Active(0); p != "" || f != "" {
 		t.Fatalf("Active after clear = (%q, %q), want idle", p, f)
-	}
-	s.AddLaneBusy(3 * time.Millisecond)
-	s.AddLaneBusy(2 * time.Millisecond)
-	if got := s.Flight().BusyNS(0); got != int64(5*time.Millisecond) {
-		t.Fatalf("BusyNS = %d, want %d", got, 5*time.Millisecond)
 	}
 }
 
@@ -110,7 +104,6 @@ func TestFlightConcurrentRecording(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				c.FlightRecord("pass", "p", "f")
 				c.SetActivePass("p", "f")
-				c.AddLaneBusy(time.Microsecond)
 			}
 			c.SetActivePass("", "")
 		}(w + 1)
@@ -142,7 +135,6 @@ func TestFlightNilNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.FlightRecord("pass", "licm", "f")
 		s.SetActivePass("licm", "f")
-		s.AddLaneBusy(time.Microsecond)
 		s.SetActivePass("", "")
 	})
 	if allocs != 0 {
@@ -158,7 +150,6 @@ func TestFlightRecordNoAllocsWarm(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.FlightRecord("pass", "licm", "f")
 		s.SetActivePass("licm", "f")
-		s.AddLaneBusy(time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm flight recording allocated %.1f times per op, want 0", allocs)

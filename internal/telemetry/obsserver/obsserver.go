@@ -1,40 +1,25 @@
-// Package obsserver is the live observability plane shared by the
-// CLIs: an opt-in HTTP endpoint (-obs-addr) that serves Prometheus
-// /metrics straight from the live telemetry session, the Go pprof
-// profile family under /debug/pprof/, a /healthz liveness probe, and
-// /buildinfo. Enabling the endpoint also starts the runtime sampler
-// (telemetry.StartSampler), so scrapes taken mid-compile carry GC,
-// heap, goroutine, and per-worker-lane utilization gauges.
-//
-// The same flag bundle carries the whole-run profiling switches
-// (-profile-cpu, -profile-mem) and the crash-dump directory
-// (-crash-dir), so every command wires observability with the same
-// four lines: RegisterFlags, Enable, Start, defer Close.
+// Package obsserver is the whole-run diagnostics bundle shared by the
+// CLIs: a CPU profile (-profile-cpu), an end-of-run heap profile
+// (-profile-mem), and the directory crash-<unit>.json flight-recorder
+// dumps land in (-crash-dir). Every command wires it the same way:
+// RegisterFlags, Start, defer Close, and Exit on error paths so an
+// in-progress CPU profile is flushed before the process exits.
 package obsserver
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
-	"runtime/debug"
 	rtpprof "runtime/pprof"
 	"sync"
-	"time"
-
-	"repro/internal/telemetry"
 )
 
-// Live handles, so the CLIs' error paths can flush profiles and close
-// listeners before os.Exit without threading the handle everywhere:
-// Start registers, Close unregisters, and Exit closes whatever is still
-// open. A leaked *os.File would be reclaimed at exit anyway, but an
-// unflushed CPU profile or a still-bound listener in a respawning
-// supervisor is a real loss.
+// Live handles, so the CLIs' error paths can flush profiles before
+// os.Exit without threading the handle everywhere: Start registers,
+// Close unregisters, and Exit closes whatever is still open. A leaked
+// *os.File would be reclaimed at exit anyway, but an unflushed CPU
+// profile is a real loss.
 var (
 	liveMu sync.Mutex
 	live   []*Handle
@@ -74,8 +59,7 @@ func CloseAll() error {
 
 // Exit is the os.Exit every observability-carrying CLI should use on
 // its error and early-return paths: it closes all live handles (CPU
-// profile flushed, heap profile written, sampler stopped, listener
-// closed) and then exits with code.
+// profile flushed, heap profile written) and then exits with code.
 func Exit(code int) {
 	CloseAll() //nolint:errcheck // already exiting; nothing to report to
 	os.Exit(code)
@@ -83,8 +67,6 @@ func Exit(code int) {
 
 // Flags is the observability flag bundle registered by every CLI.
 type Flags struct {
-	// Addr, if non-empty, serves the live HTTP endpoint (-obs-addr).
-	Addr string
 	// CPUProfile, if non-empty, records a whole-run CPU profile
 	// (-profile-cpu).
 	CPUProfile string
@@ -100,8 +82,6 @@ type Flags struct {
 // flag.CommandLine for the process flag set).
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Addr, "obs-addr", "",
-		"serve live observability HTTP (/metrics, /debug/pprof/, /healthz, /buildinfo) on `addr` (e.g. localhost:9464)")
 	fs.StringVar(&f.CPUProfile, "profile-cpu", "", "write a whole-run CPU profile to `path`")
 	fs.StringVar(&f.MemProfile, "profile-mem", "", "write an end-of-run heap profile to `path`")
 	fs.StringVar(&f.CrashDir, "crash-dir", "",
@@ -109,50 +89,24 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Enable upgrades a telemetry configuration with the streams the live
-// endpoint depends on: a scrape is only useful if the session is
-// actually live and collecting metrics, phase timings, and the flight
-// ring. Without -obs-addr the configuration is left untouched.
-func (f *Flags) Enable(cfg *telemetry.Config) {
-	if f.Addr == "" {
-		return
-	}
-	cfg.Metrics = true
-	cfg.Timing = true
-	cfg.Flight = true
-}
-
-// Handle owns everything Start stood up; Close tears it down in the
-// right order (profiles flushed, sampler stopped, listener closed).
+// Handle owns the profiles Start began; Close flushes them.
 type Handle struct {
 	flags   *Flags
-	srv     *Server
 	cpuFile *os.File
 }
 
-// Start stands up whatever the flags ask for against the live session
-// and returns a Handle the caller must Close at exit. With zero flags
-// set it returns an inert Handle, so callers can wire it
-// unconditionally.
-func (f *Flags) Start(s *telemetry.Session) (*Handle, error) {
+// Start begins whatever profiling the flags ask for and returns a
+// Handle the caller must Close at exit. With zero flags set it returns
+// an inert Handle, so callers can wire it unconditionally.
+func (f *Flags) Start() (*Handle, error) {
 	h := &Handle{flags: f}
-	if f.Addr != "" {
-		srv, err := Serve(f.Addr, s)
-		if err != nil {
-			return nil, err
-		}
-		h.srv = srv
-		fmt.Fprintf(os.Stderr, "obs: serving /metrics /debug/pprof/ /healthz /buildinfo on http://%s\n", srv.Addr())
-	}
 	if f.CPUProfile != "" {
 		out, err := os.Create(f.CPUProfile)
 		if err != nil {
-			h.Close()
 			return nil, fmt.Errorf("profile-cpu: %w", err)
 		}
 		if err := rtpprof.StartCPUProfile(out); err != nil {
 			out.Close()
-			h.Close()
 			return nil, fmt.Errorf("profile-cpu: %w", err)
 		}
 		h.cpuFile = out
@@ -161,9 +115,9 @@ func (f *Flags) Start(s *telemetry.Session) (*Handle, error) {
 	return h, nil
 }
 
-// Close flushes the CPU profile, writes the heap profile, and shuts the
-// endpoint down. Safe on a nil Handle and idempotent enough for a
-// defer alongside an explicit call.
+// Close flushes the CPU profile and writes the heap profile. Safe on a
+// nil Handle and idempotent enough for a defer alongside an explicit
+// call.
 func (h *Handle) Close() error {
 	if h == nil {
 		return nil
@@ -183,12 +137,6 @@ func (h *Handle) Close() error {
 		}
 		h.flags = nil
 	}
-	if h.srv != nil {
-		if err := h.srv.Close(); err != nil && first == nil {
-			first = err
-		}
-		h.srv = nil
-	}
 	return first
 }
 
@@ -203,112 +151,4 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	return out.Close()
-}
-
-// Server is a running observability endpoint.
-type Server struct {
-	ln          net.Listener
-	srv         *http.Server
-	stopSampler func()
-}
-
-// Serve binds addr and serves the observability mux for s. Pass an
-// ":0"-style addr in tests and read the bound address back with Addr.
-// The runtime sampler starts alongside the listener and stops with it.
-func Serve(addr string, s *telemetry.Session) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs-addr: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           Mux(s),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	out := &Server{ln: ln, srv: srv, stopSampler: telemetry.StartSampler(s, 0)}
-	go srv.Serve(ln) //nolint:errcheck // Close() reports the shutdown path
-	return out, nil
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the sampler (taking its final sample) and shuts the
-// HTTP server down.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	if s.stopSampler != nil {
-		s.stopSampler()
-		s.stopSampler = nil
-	}
-	return s.srv.Close()
-}
-
-// Mux builds the observability handler for a session:
-//
-//	/metrics       live Prometheus text exposition (Snapshot of s)
-//	/healthz       liveness probe
-//	/buildinfo     module/VCS/runtime identity as JSON
-//	/debug/pprof/  the standard Go profile family
-func Mux(s *telemetry.Session) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WritePrometheus(w, s.Snapshot()) //nolint:errcheck // client disconnects only
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(buildInfo()) //nolint:errcheck // client disconnects only
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
-}
-
-// BuildInfo is the /buildinfo payload.
-type BuildInfo struct {
-	Module     string `json:"module,omitempty"`
-	Version    string `json:"version,omitempty"`
-	VCSRev     string `json:"vcs_revision,omitempty"`
-	VCSTime    string `json:"vcs_time,omitempty"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	PID        int    `json:"pid"`
-}
-
-func buildInfo() BuildInfo {
-	info := BuildInfo{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		PID:        os.Getpid(),
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		info.Module = bi.Main.Path
-		info.Version = bi.Main.Version
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				info.VCSRev = s.Value
-			case "vcs.time":
-				info.VCSTime = s.Value
-			}
-		}
-	}
-	return info
 }

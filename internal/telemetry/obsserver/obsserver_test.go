@@ -1,232 +1,17 @@
 package obsserver
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/driver"
-	"repro/internal/telemetry"
 )
-
-func startServer(t *testing.T, s *telemetry.Session) *Server {
-	t.Helper()
-	srv, err := Serve("127.0.0.1:0", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
-}
-
-func get(t *testing.T, url string) (int, string, http.Header) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(body), resp.Header
-}
-
-func TestEndpoints(t *testing.T) {
-	s := telemetry.New(telemetry.Config{Metrics: true, Timing: true, Flight: true})
-	s.Count("aa/queries", 7)
-	srv := startServer(t, s)
-	base := "http://" + srv.Addr()
-
-	code, body, hdr := get(t, base+"/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics status %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("/metrics content-type %q", ct)
-	}
-	if !strings.Contains(body, "ooelala_aa_queries 7") {
-		t.Fatalf("/metrics missing live counter:\n%s", body)
-	}
-
-	code, body, _ = get(t, base+"/healthz")
-	if code != http.StatusOK || strings.TrimSpace(body) != "ok" {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-
-	code, body, hdr = get(t, base+"/buildinfo")
-	if code != http.StatusOK || hdr.Get("Content-Type") != "application/json" {
-		t.Fatalf("/buildinfo = %d, content-type %q", code, hdr.Get("Content-Type"))
-	}
-	var bi BuildInfo
-	if err := json.Unmarshal([]byte(body), &bi); err != nil {
-		t.Fatalf("/buildinfo not JSON: %v\n%s", err, body)
-	}
-	if bi.GoVersion == "" || bi.NumCPU < 1 || bi.PID <= 0 {
-		t.Fatalf("/buildinfo incomplete: %+v", bi)
-	}
-
-	code, body, _ = get(t, base+"/debug/pprof/")
-	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/ index = %d:\n%s", code, body)
-	}
-	code, body, _ = get(t, base+"/debug/pprof/goroutine?debug=1")
-	if code != http.StatusOK || !strings.Contains(body, "goroutine profile") {
-		t.Fatalf("goroutine profile = %d", code)
-	}
-}
-
-// The exposition format contract CI also checks with curl: every series
-// has HELP and TYPE lines, and no metric is emitted twice.
-func TestMetricsExpositionFormat(t *testing.T) {
-	s := telemetry.New(telemetry.Config{Metrics: true, Timing: true, Flight: true})
-	s.Count("aa/queries", 3)
-	s.SetGauge("runtime/goroutines", 5)
-	s.RecordDuration("phase/opt", 2*time.Millisecond)
-	srv := startServer(t, s)
-	_, body, _ := get(t, "http://"+srv.Addr()+"/metrics")
-
-	typed := map[string]bool{}
-	helped := map[string]bool{}
-	for _, line := range strings.Split(body, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) >= 3 && fields[0] == "#" && fields[1] == "TYPE" {
-			if typed[fields[2]] {
-				t.Fatalf("duplicate TYPE for %s", fields[2])
-			}
-			typed[fields[2]] = true
-		}
-		if len(fields) >= 3 && fields[0] == "#" && fields[1] == "HELP" {
-			helped[fields[2]] = true
-		}
-	}
-	if len(typed) == 0 {
-		t.Fatalf("no TYPE lines in exposition:\n%s", body)
-	}
-	for name := range typed {
-		if !helped[name] {
-			t.Fatalf("metric %s has TYPE but no HELP line", name)
-		}
-	}
-	// Sample series must not repeat (duplicate series break ingestion).
-	seen := map[string]bool{}
-	for _, line := range strings.Split(body, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key := line[:strings.LastIndexByte(line, ' ')]
-		if seen[key] {
-			t.Fatalf("duplicate series %q", key)
-		}
-		seen[key] = true
-	}
-}
-
-// Scrape the live endpoint while a corpus compiles on it: counters must
-// be visible mid-run and monotonically non-decreasing across scrapes.
-func TestScrapeWhileCompilingMonotone(t *testing.T) {
-	s := telemetry.New(telemetry.Config{Metrics: true, Timing: true, Flight: true})
-	srv := startServer(t, s)
-	base := "http://" + srv.Addr()
-
-	src := `
-int f(int x) { int a = 0, b = 0; return (a = x) + (b = 2) + a + b; }
-int main() { int s = 0; for (int i = 0; i < 16; i++) s += f(i); return s; }
-`
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 40; i++ {
-			if _, err := driver.Compile(fmt.Sprintf("u%d.c", i), src, driver.Config{
-				OOElala: true, Jobs: 2, Telemetry: s,
-			}); err != nil {
-				t.Errorf("compile %d: %v", i, err)
-				return
-			}
-		}
-	}()
-
-	counter := func() (int64, bool) {
-		_, body, _ := get(t, base+"/metrics")
-		for _, line := range strings.Split(body, "\n") {
-			var v int64
-			if n, _ := fmt.Sscanf(line, "ooelala_aa_queries %d", &v); n == 1 {
-				return v, true
-			}
-		}
-		return 0, false
-	}
-
-	// Wait until the counter appears (first unit merged), then require
-	// monotone growth across scrapes taken while units still compile.
-	var prev int64
-	deadline := time.After(10 * time.Second)
-	for {
-		if v, ok := counter(); ok && v > 0 {
-			prev = v
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("ooelala_aa_queries never appeared on the live endpoint")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	for i := 0; i < 5; i++ {
-		v, ok := counter()
-		if !ok {
-			t.Fatal("counter disappeared mid-run")
-		}
-		if v < prev {
-			t.Fatalf("counter went backwards: %d -> %d", prev, v)
-		}
-		prev = v
-		time.Sleep(5 * time.Millisecond)
-	}
-	<-done
-	final, ok := counter()
-	if !ok || final < prev {
-		t.Fatalf("final scrape %d (ok=%v) below mid-run %d", final, ok, prev)
-	}
-}
-
-func TestFlagsEnable(t *testing.T) {
-	var cfg telemetry.Config
-	(&Flags{}).Enable(&cfg)
-	if cfg.Metrics || cfg.Timing || cfg.Flight {
-		t.Fatal("Enable without -obs-addr must not touch the config")
-	}
-	(&Flags{Addr: "127.0.0.1:0"}).Enable(&cfg)
-	if !cfg.Metrics || !cfg.Timing || !cfg.Flight {
-		t.Fatalf("Enable with -obs-addr left streams off: %+v", cfg)
-	}
-}
 
 func TestHandleLifecycle(t *testing.T) {
 	cpu := t.TempDir() + "/cpu.pprof"
 	mem := t.TempDir() + "/mem.pprof"
-	f := &Flags{Addr: "127.0.0.1:0", CPUProfile: cpu, MemProfile: mem}
-	var cfg telemetry.Config
-	f.Enable(&cfg)
-	h, err := f.Start(telemetry.New(cfg))
+	f := &Flags{CPUProfile: cpu, MemProfile: mem}
+	h, err := f.Start()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, _, herr := func() (int, string, error) {
-		resp, err := http.Get("http://" + h.srv.Addr() + "/healthz")
-		if err != nil {
-			return 0, "", err
-		}
-		resp.Body.Close()
-		return resp.StatusCode, "", nil
-	}(); herr != nil {
-		t.Fatalf("endpoint not live under Start: %v", herr)
 	}
 	if err := h.Close(); err != nil {
 		t.Fatal(err)
@@ -255,24 +40,22 @@ func statNonEmpty(path string) (bool, error) {
 
 // TestRegistryCloseAll: Start registers a handle, Close unregisters it,
 // and CloseAll tears down whatever is still open — the mechanism behind
-// obsserver.Exit, which the CLIs' error paths rely on so a live
-// listener or an in-progress CPU profile is never leaked past os.Exit.
+// obsserver.Exit, which the CLIs' error paths rely on so an in-progress
+// CPU profile is never lost to os.Exit.
 func TestRegistryCloseAll(t *testing.T) {
-	mkHandle := func(cpu string) *Handle {
-		f := &Flags{Addr: "127.0.0.1:0", CPUProfile: cpu}
-		var cfg telemetry.Config
-		f.Enable(&cfg)
-		h, err := f.Start(telemetry.New(cfg))
+	mkHandle := func(f *Flags) *Handle {
+		h, err := f.Start()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
 
-	h1 := mkHandle("")
-	cpu := t.TempDir() + "/cpu.pprof"
-	h2 := mkHandle(cpu)
-	addr1, addr2 := h1.srv.Addr(), h2.srv.Addr()
+	dir := t.TempDir()
+	mem1 := dir + "/mem1.pprof"
+	h1 := mkHandle(&Flags{MemProfile: mem1})
+	cpu, mem2 := dir+"/cpu.pprof", dir+"/mem2.pprof"
+	mkHandle(&Flags{CPUProfile: cpu, MemProfile: mem2})
 
 	// An explicitly closed handle leaves the registry: CloseAll must not
 	// close it twice (Close is idempotent, but the registry should not
@@ -280,20 +63,23 @@ func TestRegistryCloseAll(t *testing.T) {
 	if err := h1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if err := os.Remove(mem1); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := CloseAll(); err != nil {
 		t.Fatalf("CloseAll: %v", err)
 	}
 
-	// Both listeners are down and the CPU profile was flushed even
-	// though nobody called h2.Close directly.
-	for _, addr := range []string{addr1, addr2} {
-		if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
-			t.Errorf("listener %s still serving after CloseAll", addr)
+	// The second handle's profiles were flushed even though nobody
+	// called its Close directly, and the first was not rewritten.
+	for _, p := range []string{cpu, mem2} {
+		if ok, err := statNonEmpty(p); err != nil || !ok {
+			t.Errorf("profile %s not flushed by CloseAll (err %v)", p, err)
 		}
 	}
-	if ok, err := statNonEmpty(cpu); err != nil || !ok {
-		t.Errorf("CPU profile not flushed by CloseAll (err %v)", err)
+	if _, err := os.Stat(mem1); !os.IsNotExist(err) {
+		t.Errorf("CloseAll closed an already-closed handle again (stat %v)", err)
 	}
 
 	// Idempotent on an empty registry.
