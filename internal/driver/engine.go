@@ -10,8 +10,8 @@ import (
 // Engine names accepted by RunOpts.Engine and NewMachineOn.
 const (
 	// EngineVM is the compiled-bytecode run leg (internal/vm), the
-	// default: bit-identical cycles/results/sanitizer verdicts to the
-	// tree-walker, an order of magnitude faster.
+	// default: identical milli-cycle totals, results and sanitizer
+	// verdicts to the tree-walker, an order of magnitude faster.
 	EngineVM = "vm"
 	// EngineTree is the tree-walking interpreter (internal/interp),
 	// retained as the differential oracle.
@@ -20,7 +20,7 @@ const (
 
 // Machine is the engine-agnostic execution surface; *interp.Machine and
 // *vm.Machine both satisfy it, and the equivalence gate holds their
-// observable behaviour bit-identical.
+// observable behaviour identical.
 type Machine interface {
 	RunArgs(name string, args ...int64) (int64, error)
 	TotalCycles() float64
@@ -76,14 +76,17 @@ type RunOpts struct {
 
 // RunResult is what one execution observed.
 type RunResult struct {
-	Value  int64
+	Value int64
+	// Cycles is the simulated cycle count: the engine's exact integer
+	// milli-cycle total over 1000.
 	Cycles float64
 	// Failures are the sanitizer violations (only a Sanitize build
 	// carries the checks that record them).
 	Failures []*interp.SanitizerFailure
-	// Profile is set when RunOpts.Profile was. The sum of its attributed
-	// cycles equals Cycles minus the top-level CallBase charge (the only
-	// cost paid before the first dispatch point) on both engines.
+	// Profile is set when RunOpts.Profile was. Its attributed cycles sum,
+	// exactly in milli-cycles, to Cycles minus the top-level CallBase
+	// charge (the only cost paid before the first dispatch point) on
+	// both engines.
 	Profile *profile.Profile
 }
 

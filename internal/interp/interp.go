@@ -12,6 +12,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ir"
 )
@@ -41,6 +42,47 @@ type CostModel struct {
 	MemsetPerByte float64
 	Div           float64
 	BuiltinCall   float64
+}
+
+// MilliCosts is a CostModel converted once to integer milli-cycles.
+// Both engines accumulate cycles as int64 milli-cycles, so a run's total
+// is an exact integer sum whatever the order of the additions: costs
+// such as ICachePenalty 1.1 and VecOp 1.3 are not dyadic, and float64
+// sums of them would show the grouping in their low bits. Derived costs
+// (half an ALU op, a two-step reduce, a vec-call lane) are rounded from
+// their own float products, not composed from rounded parts.
+type MilliCosts struct {
+	ALU, ALUHalf, RegMove, MemLoad, MemStore, Branch, CallBase int64
+	ICachePenalty                                              int64
+	VecOp, VecOp2, VecMem                                      int64
+	MemsetBase, MemsetPerByte, Div, BuiltinCall, VecCallLane   int64
+}
+
+// milli rounds a cycle cost to the nearest milli-cycle.
+func milli(x float64) int64 { return int64(math.Round(x * 1000)) }
+
+// Milli converts the model to integer milli-cycles.
+func (c CostModel) Milli() MilliCosts {
+	return MilliCosts{
+		ALU:           milli(c.ALU),
+		ALUHalf:       milli(c.ALU * 0.5),
+		RegMove:       milli(c.RegMove),
+		MemLoad:       milli(c.MemLoad),
+		MemStore:      milli(c.MemStore),
+		Branch:        milli(c.Branch),
+		CallBase:      milli(c.CallBase),
+		ICachePenalty: milli(c.ICachePenalty),
+		VecOp:         milli(c.VecOp),
+		VecOp2:        milli(c.VecOp * 2),
+		VecMem:        milli(c.VecMem),
+		MemsetBase:    milli(c.MemsetBase),
+		MemsetPerByte: milli(c.MemsetPerByte),
+		Div:           milli(c.Div),
+		BuiltinCall:   milli(c.BuiltinCall),
+		// Vector math libraries amortize the call across lanes: 0.4 of a
+		// scalar call per lane pair.
+		VecCallLane: milli(c.BuiltinCall * 0.2),
+	}
 }
 
 // DefaultCosts is the calibrated default model.
@@ -117,13 +159,14 @@ type cell struct {
 type Machine struct {
 	mod   *ir.Module
 	costs CostModel
+	mc    MilliCosts
 
 	mem      map[int64]cell
 	globals  map[string]int64
 	nextAddr int64
 
-	// Cycles is the accumulated simulated cycle count.
-	Cycles float64
+	// cycles is the accumulated simulated cycle count in milli-cycles.
+	cycles int64
 	// Executed counts retired instructions.
 	Executed int64
 	// SanFailures collects ubcheck violations (execution continues, like
@@ -151,13 +194,14 @@ type Machine struct {
 	// first Run. Off costs one bool check per retired instruction.
 	Profile   bool
 	profCells map[*ir.Instr]*profCell
-	profBase  float64
+	profBase  int64
 	profLast  *profCell
 }
 
-// profCell is one instruction's profile counters.
+// profCell is one instruction's profile counters (cycles in
+// milli-cycles).
 type profCell struct {
-	cycles  float64
+	cycles  int64
 	retired int64
 }
 
@@ -215,6 +259,7 @@ func New(mod *ir.Module, costs CostModel) *Machine {
 	m := &Machine{
 		mod:      mod,
 		costs:    costs,
+		mc:       costs.Milli(),
 		mem:      make(map[int64]cell),
 		globals:  make(map[string]int64),
 		nextAddr: 0x10000,
@@ -319,9 +364,9 @@ func (m *Machine) Run(name string, args ...Val) (Val, error) {
 		// Attribute the trailing delta so the profile total equals
 		// TotalCycles minus the top-level CallBase (which falls before
 		// the first sample) — the same invariant as the vm.
-		m.profLast.cycles += m.Cycles - m.profBase
+		m.profLast.cycles += m.cycles - m.profBase
 		m.profLast = nil
-		m.profBase = m.Cycles
+		m.profBase = m.cycles
 	}
 	return v, err
 }
@@ -371,7 +416,7 @@ func (m *Machine) icachePenalized(f *ir.Func) bool {
 
 // call executes one function activation.
 func (m *Machine) call(f *ir.Func, args []Val) (Val, error) {
-	m.Cycles += m.costs.CallBase
+	m.cycles += m.mc.CallBase
 	// Data allocation is stack-disciplined: the activation's allocas are
 	// popped on every exit, so the next call reuses their addresses.
 	mark := m.nextAddr
@@ -439,9 +484,9 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			// everything added since the previous retired instruction
 			// (its op cost, penalties, a callee's CallBase) belongs to it.
 			if m.profLast != nil {
-				m.profLast.cycles += m.Cycles - m.profBase
+				m.profLast.cycles += m.cycles - m.profBase
 			}
-			m.profBase = m.Cycles
+			m.profBase = m.cycles
 			pcell := m.profCells[in]
 			if pcell == nil {
 				pcell = &profCell{}
@@ -451,7 +496,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			m.profLast = pcell
 		}
 		if icache {
-			m.Cycles += m.costs.ICachePenalty
+			m.cycles += m.mc.ICachePenalty
 		}
 		switch in.Op {
 		case ir.OpAlloca:
@@ -474,9 +519,9 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 				m.mem[addr] = c
 			}
 			if m.classifyPtr(in.Args[0]) == classReg {
-				m.Cycles += m.costs.RegMove
+				m.cycles += m.mc.RegMove
 			} else {
-				m.Cycles += m.costs.MemLoad
+				m.cycles += m.mc.MemLoad
 			}
 			if in.Cls.IsFloat() {
 				if c.Fl {
@@ -499,9 +544,9 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			addr := get(in.Args[0]).AsInt()
 			v := get(in.Args[1])
 			if m.classifyPtr(in.Args[0]) == classReg {
-				m.Cycles += m.costs.RegMove
+				m.cycles += m.mc.RegMove
 			} else {
-				m.Cycles += m.costs.MemStore
+				m.cycles += m.mc.MemStore
 			}
 			if v.Fl {
 				m.mem[addr] = cell{F: v.F, Fl: true}
@@ -513,11 +558,11 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			base := get(in.Args[0]).AsInt()
 			idx := get(in.Args[1]).AsInt()
 			regs[in] = IV(base + idx*int64(in.Scale) + int64(in.Off))
-			m.Cycles += m.costs.ALU * 0.5 // folded into addressing modes
+			m.cycles += m.mc.ALUHalf // folded into addressing modes
 
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
 			a, c := get(in.Args[0]), get(in.Args[1])
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			v, err := ScalarBin(in.Op, in.Cls, a, c, in.Unsigned)
 			if err != nil {
 				return nil, false, Val{}, fmt.Errorf("interp: %v in %s", err, f.Name)
@@ -526,7 +571,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 
 		case ir.OpDiv, ir.OpRem:
 			a, c := get(in.Args[0]), get(in.Args[1])
-			m.Cycles += m.costs.Div
+			m.cycles += m.mc.Div
 			if !a.Fl && !c.Fl && c.I == 0 {
 				return nil, false, Val{}, fmt.Errorf("interp: division by zero in %s", f.Name)
 			}
@@ -538,7 +583,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 
 		case ir.OpNeg:
 			a := get(in.Args[0])
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			if a.Fl {
 				regs[in] = FV(-a.F)
 			} else {
@@ -549,16 +594,16 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 
 		case ir.OpNot:
 			a := get(in.Args[0])
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			regs[in] = IV(truncFor(in.Cls, ^a.AsInt(), in.Unsigned))
 
 		case ir.OpCmp:
 			a, c := get(in.Args[0]), get(in.Args[1])
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			regs[in] = IV(boolToInt(CompareVals(in.Pred, a, c, in.Unsigned)))
 
 		case ir.OpSelect:
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			if get(in.Args[0]).AsInt() != 0 {
 				regs[in] = get(in.Args[1])
 			} else {
@@ -567,7 +612,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 
 		case ir.OpConvert:
 			a := get(in.Args[0])
-			m.Cycles += m.costs.ALU * 0.5
+			m.cycles += m.mc.ALUHalf
 			regs[in] = ConvertVal(a, in.Cls, in.Unsigned)
 
 		case ir.OpCall:
@@ -580,11 +625,11 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			}
 
 		case ir.OpBr:
-			m.Cycles += m.costs.Branch
+			m.cycles += m.mc.Branch
 			return in.Target, false, Val{}, nil
 
 		case ir.OpCondBr:
-			m.Cycles += m.costs.Branch
+			m.cycles += m.mc.Branch
 			if get(in.Args[0]).AsInt() != 0 {
 				return in.Then, false, Val{}, nil
 			}
@@ -602,7 +647,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 		case ir.OpUBCheck:
 			p1 := get(in.Args[0]).AsInt()
 			p2 := get(in.Args[1]).AsInt()
-			m.Cycles += m.costs.ALU // one comparison
+			m.cycles += m.mc.ALU // one comparison
 			if p1 == p2 {
 				m.SanFailures = append(m.SanFailures, &SanitizerFailure{Fn: f.Name, Addr: p1, Meta: in.Meta})
 			}
@@ -622,7 +667,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 					m.mem[ptr+off] = cell{I: v.I}
 				}
 			}
-			m.Cycles += m.costs.MemsetBase + m.costs.MemsetPerByte*float64(length)
+			m.cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
 
 		case ir.OpMemcpy:
 			dst := get(in.Args[0]).AsInt()
@@ -635,7 +680,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			for off := int64(0); off < length; off += stride {
 				m.mem[dst+off] = m.mem[src+off]
 			}
-			m.Cycles += m.costs.MemsetBase + m.costs.MemsetPerByte*float64(length)
+			m.cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
 
 		case ir.OpVecLoad:
 			base := get(in.Args[0]).AsInt()
@@ -653,7 +698,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 					lanes[l] = IV(c.I)
 				}
 			}
-			m.Cycles += m.costs.VecMem
+			m.cycles += m.mc.VecMem
 			regs[in] = Val{Vec: lanes}
 
 		case ir.OpVecStore:
@@ -668,7 +713,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 					m.mem[base+int64(l)*stride] = cell{I: lane.I}
 				}
 			}
-			m.Cycles += m.costs.VecMem
+			m.cycles += m.mc.VecMem
 
 		case ir.OpVecSplat:
 			s := get(in.Args[0])
@@ -676,7 +721,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 			for l := range lanes {
 				lanes[l] = s
 			}
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			regs[in] = Val{Vec: lanes}
 
 		case ir.OpVecBin:
@@ -694,7 +739,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 					lanes[l] = v
 				}
 			}
-			m.Cycles += m.costs.VecOp
+			m.cycles += m.mc.VecOp
 			regs[in] = Val{Vec: lanes}
 
 		case ir.OpVecReduce:
@@ -707,7 +752,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 				}
 				acc = v
 			}
-			m.Cycles += m.costs.VecOp * 2
+			m.cycles += m.mc.VecOp2
 			regs[in] = acc
 
 		case ir.OpVecIota:
@@ -719,7 +764,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 					lanes[l] = IV(int64(l))
 				}
 			}
-			m.Cycles += m.costs.ALU
+			m.cycles += m.mc.ALU
 			regs[in] = Val{Vec: lanes}
 
 		case ir.OpVecSelect:
@@ -732,7 +777,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 					lanes[l] = Lane(y, l)
 				}
 			}
-			m.Cycles += m.costs.VecOp
+			m.cycles += m.mc.VecOp
 			regs[in] = Val{Vec: lanes}
 
 		case ir.OpVecCall:
@@ -752,8 +797,7 @@ func (m *Machine) execBlock(f *ir.Func, b *ir.Block, regs map[ir.Value]Val,
 				}
 				lanes[l] = v
 			}
-			// Vector math libraries amortize the call across lanes.
-			m.Cycles += m.costs.BuiltinCall * 0.4 * float64(in.Width) / 2
+			m.cycles += m.mc.VecCallLane * int64(in.Width)
 			regs[in] = Val{Vec: lanes}
 
 		default:
@@ -791,7 +835,7 @@ func (m *Machine) execCall(f *ir.Func, in *ir.Instr, get func(ir.Value) Val) (Va
 		vals[i] = get(a)
 	}
 	if v, ok, err := CallBuiltin(callee, vals); ok {
-		m.Cycles += m.costs.BuiltinCall
+		m.cycles += m.mc.BuiltinCall
 		return v, err
 	}
 	cf := m.mod.FindFunc(callee)
@@ -815,8 +859,12 @@ func (m *Machine) funcAddr(name string) int64 {
 }
 
 // TotalCycles returns the accumulated simulated cycle count (engine
-// interface shared with the vm).
-func (m *Machine) TotalCycles() float64 { return m.Cycles }
+// interface shared with the vm): the exact milli-cycle total over 1000.
+func (m *Machine) TotalCycles() float64 { return float64(m.cycles) / 1000 }
+
+// MilliCycles returns the accumulated simulated cycle count in integer
+// milli-cycles, the unit both engines account in.
+func (m *Machine) MilliCycles() int64 { return m.cycles }
 
 // SanitizerFailures returns the collected ubcheck violations.
 func (m *Machine) SanitizerFailures() []*SanitizerFailure { return m.SanFailures }

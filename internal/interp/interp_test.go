@@ -36,7 +36,7 @@ func TestBasicExecution(t *testing.T) {
 	if got != 26 {
 		t.Errorf("f(7) = %d want 26", got)
 	}
-	if m.Cycles <= 0 {
+	if m.MilliCycles() <= 0 {
 		t.Error("no cycles accounted")
 	}
 }
@@ -93,9 +93,9 @@ func TestRegisterVsMemoryCost(t *testing.T) {
 	if _, err := mm.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if mr.Cycles >= mm.Cycles {
+	if mr.MilliCycles() >= mm.MilliCycles() {
 		t.Errorf("register-slot loads should be cheaper: alloca=%v global=%v",
-			mr.Cycles, mm.Cycles)
+			mr.TotalCycles(), mm.TotalCycles())
 	}
 }
 
@@ -206,9 +206,9 @@ func TestMustNotAliasIsFree(t *testing.T) {
 	if _, err := m2.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if m1.Cycles != m2.Cycles || m1.Executed != m2.Executed {
+	if m1.MilliCycles() != m2.MilliCycles() || m1.Executed != m2.Executed {
 		t.Errorf("metadata intrinsics must cost nothing: %v/%v vs %v/%v",
-			m1.Cycles, m1.Executed, m2.Cycles, m2.Executed)
+			m1.TotalCycles(), m1.Executed, m2.TotalCycles(), m2.Executed)
 	}
 }
 
@@ -235,8 +235,8 @@ func TestICachePenalty(t *testing.T) {
 	if _, err := big.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	perInstrSmall := (small.Cycles - costs.CallBase) / float64(small.Executed)
-	perInstrBig := (big.Cycles - costs.CallBase) / float64(big.Executed)
+	perInstrSmall := (small.TotalCycles() - costs.CallBase) / float64(small.Executed)
+	perInstrBig := (big.TotalCycles() - costs.CallBase) / float64(big.Executed)
 	if perInstrBig <= perInstrSmall {
 		t.Errorf("functions over the icache threshold must pay per-instruction: small=%.3f big=%.3f",
 			perInstrSmall, perInstrBig)

@@ -8,7 +8,7 @@ func (m *Machine) Report(tel *telemetry.Session) {
 	if !tel.MetricsEnabled() {
 		return
 	}
-	tel.AddGauge("interp/cycles", m.Cycles)
+	tel.AddGauge("interp/cycles", m.TotalCycles())
 	tel.Count("interp/instrs_executed", m.Executed)
 	tel.Count("interp/san_failures", int64(len(m.SanFailures)))
 }

@@ -28,7 +28,7 @@ func (m *Machine) ProfileSamples() []profile.Sample {
 				s := profile.Sample{
 					Fn:      fn.Name,
 					Op:      strings.ToLower(in.Op.String()),
-					Cycles:  c.cycles,
+					Cycles:  float64(c.cycles) / 1000,
 					Retired: c.retired,
 				}
 				if in.Span.IsValid() {

@@ -293,8 +293,8 @@ func TestCyclesAccumulate(t *testing.T) {
 	if _, err := m.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cycles <= 0 || m.Executed <= 0 {
-		t.Errorf("cost accounting broken: cycles=%v executed=%d", m.Cycles, m.Executed)
+	if m.MilliCycles() <= 0 || m.Executed <= 0 {
+		t.Errorf("cost accounting broken: cycles=%v executed=%d", m.TotalCycles(), m.Executed)
 	}
 }
 

@@ -264,7 +264,7 @@ func TestCyclesDeterministic(t *testing.T) {
 	if _, err := m2.RunArgs("main"); err != nil {
 		t.Fatal(err)
 	}
-	if m1.Cycles != m2.Cycles {
-		t.Errorf("cycles differ: %v vs %v", m1.Cycles, m2.Cycles)
+	if m1.MilliCycles() != m2.MilliCycles() {
+		t.Errorf("cycles differ: %d vs %d", m1.MilliCycles(), m2.MilliCycles())
 	}
 }

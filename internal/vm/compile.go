@@ -2,13 +2,15 @@
 // executes it with a flat dispatch loop. It is the run leg behind
 // driver.Compilation.Exec; the tree-walking interpreter
 // (internal/interp) is retained as the tests' oracle. The correctness
-// contract is bit-identical cycles, results, and sanitizer verdicts
-// versus interp (DESIGN.md §9): the vm reuses interp's exported value
-// model (interp.Val, ScalarBin, CompareVals, ConvertVal, CallBuiltin,
-// Lane) and the canonical ir kernels, performs the same float cycle
-// additions in the same order, and reproduces interp's address
-// assignment exactly (same global layout, same stack-disciplined frame
-// allocator, same reserved function pseudo-address table).
+// contract is identical integer milli-cycles, retire counts, results,
+// and sanitizer verdicts versus interp (DESIGN.md §9): the vm reuses
+// interp's exported value model (interp.Val, ScalarBin, CompareVals,
+// ConvertVal, CallBuiltin, Lane) and the canonical ir kernels, charges
+// cycles and steps once per straight-line segment from prefix sums
+// (exact, because milli-cycle sums do not depend on grouping), and
+// reproduces interp's address assignment exactly (same global layout,
+// same stack-disciplined frame allocator, same reserved function
+// pseudo-address table).
 package vm
 
 import (
@@ -71,9 +73,9 @@ const (
 	opUnhandled   // op the engine does not implement, trapped lazily
 
 	// Fused superinstructions: two adjacent IR instructions where the
-	// first's only use is the second. One dispatch round executes both,
-	// performing both per-instruction accounting sequences in the exact
-	// interpreter order (so cycles/steps stay bit-identical); the dead
+	// first's only use is the second. One dispatch round executes both;
+	// the pc counts two steps and carries both halves' costs (costK,
+	// costK2), so segment charging sees the unfused totals. The dead
 	// intermediate register is never written.
 	opCmpBr       // cmp + condbr on its result
 	opGEPLoad     // gep + scalar load through it
@@ -83,10 +85,11 @@ const (
 )
 
 // Cost kinds name the fixed per-op cycle costs; a Machine resolves them
-// against its CostModel once at construction (costTab). Ops with
-// data-dependent costs (memset/memcpy, veccall) use costZero here and
-// add their cost in the handler with the exact same float expression as
-// the interpreter, preserving bit-identical accumulation.
+// against its CostModel's milli-cycle form once at construction
+// (costTab, then the per-function segCost prefix sums). Ops with
+// data-dependent costs (memset/memcpy, builtin calls, veccall) use
+// costZero here and add their cost in the handler, with the same
+// integer expression as the interpreter.
 const (
 	costZero = iota
 	costALU
@@ -103,12 +106,13 @@ const (
 )
 
 // instr is one bytecode instruction. Operand fields a/b/c and the
-// entries of xargs encode either a register slot (>= 0) or a constant
-// pool index (< 0, stored as ^index). Branch targets are pre-resolved
-// pc values.
+// entries of xargs are register-file slots: the function's value
+// registers, or one of the constant slots at the tail of the register
+// file (see fnCode.consts). Branch targets are pre-resolved pc values.
 type instr struct {
 	op       opcode
 	costK    uint8
+	costK2   uint8 // fused superinstructions: the second half's cost kind
 	cls      ir.Class
 	unsigned bool
 	irOp     ir.Op   // original opcode for opBin/opDivRem/opUnhandled
@@ -145,15 +149,28 @@ type pcIRRef struct {
 
 // fnCode is one compiled function.
 type fnCode struct {
-	name       string
-	idx        int
-	nParams    int
-	numRegs    int
+	name    string
+	idx     int
+	nParams int
+	// numRegs counts the value registers; the register file holds them
+	// followed by one slot per entry of consts.
+	numRegs int
+	// consts are the constant operands (literals, global and function
+	// addresses) the function reads. A frame fills its tail slots with
+	// them once, when the pool creates it; nothing writes them afterwards.
+	consts     []Val
 	numAllocas int
 	// numVecDsts counts vec-producing instructions; each owns one lane
 	// buffer slot per activation (see Machine.callFn).
 	numVecDsts int
 	code       []instr
+	// steps is the step prefix sum over code: steps[pc] counts the
+	// interpreter steps of code[:pc] (a fused pair counts 2, the
+	// fell-through trap 0). segEnd[pc] is the exclusive end of the
+	// straight-line segment holding pc: segments start at a block or
+	// after a call and end at a terminator or a call (DESIGN.md §9).
+	steps  []int32
+	segEnd []int32
 	// pcIR is the side line table, parallel to code: pc -> IR instr(s) +
 	// source span. It is consulted only when a profile is exported, never
 	// by the dispatch loop.
@@ -175,13 +192,12 @@ type initCell struct {
 }
 
 // Program is a compiled module: per-function bytecode plus the shared
-// constant pool, function pseudo-address table, and global layout. A
-// Program is immutable and can back any number of Machines.
+// function pseudo-address table and global layout. A Program is
+// immutable and can back any number of Machines.
 type Program struct {
 	fns       []*fnCode
 	byName    map[string]*fnCode
 	funcNames map[int64]string
-	consts    []Val
 	globals   map[string]int64
 	// memTop is the allocator position after globals; Machines start
 	// allocating frames from here, exactly like a fresh interp.Machine.
@@ -202,7 +218,10 @@ const memBase = 0x10000
 type compiler struct {
 	p         *Program
 	funcAddrs map[string]int64
-	constIdx  map[constKey]int32
+	// fc and constIdx are the function being compiled and its constant
+	// slots by value.
+	fc       *fnCode
+	constIdx map[constKey]int32
 }
 
 type constKey struct {
@@ -268,7 +287,7 @@ func Compile(mod *ir.Module) *Program {
 }
 
 // operand encodes an IR value: instruction results and params map to
-// register slots, everything constant-like joins the pool.
+// value registers, everything constant-like to a constant slot.
 func (c *compiler) operand(slots map[ir.Value]int32, v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Const:
@@ -292,13 +311,13 @@ func (c *compiler) operand(slots map[ir.Value]int32, v ir.Value) int32 {
 
 func (c *compiler) constRef(v Val) int32 {
 	k := constKey{v.I, v.F, v.Fl}
-	if idx, ok := c.constIdx[k]; ok {
-		return ^idx
+	if slot, ok := c.constIdx[k]; ok {
+		return slot
 	}
-	idx := int32(len(c.p.consts))
-	c.p.consts = append(c.p.consts, v)
-	c.constIdx[k] = idx
-	return ^idx
+	slot := int32(c.fc.numRegs + len(c.fc.consts))
+	c.fc.consts = append(c.fc.consts, v)
+	c.constIdx[k] = slot
+	return slot
 }
 
 // isBuiltin probes the shared builtin table (CallBuiltin is pure, so a
@@ -323,6 +342,8 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 		}
 	}
 	fc.numRegs = len(slots)
+	c.fc = fc
+	clear(c.constIdx)
 
 	// Use counts gate superinstruction fusion: a producer may only be
 	// folded into its consumer when nothing else reads it (metadata uses
@@ -374,6 +395,20 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 			fc.pcIR = append(fc.pcIR, pcIRRef{})
 		}
 	}
+	// Step prefix sums and segment ends (walked backwards: a terminator
+	// or call closes the segment that the pcs before it belong to).
+	fc.steps = make([]int32, len(fc.code)+1)
+	for pc := range fc.code {
+		fc.steps[pc+1] = fc.steps[pc] + stepsOf(fc.code[pc].op)
+	}
+	fc.segEnd = make([]int32, len(fc.code))
+	end := int32(len(fc.code))
+	for pc := len(fc.code) - 1; pc >= 0; pc-- {
+		if op := fc.code[pc].op; isTerminator(op) || op == opCallFn || op == opCallIndirect {
+			end = int32(pc + 1)
+		}
+		fc.segEnd[pc] = end
+	}
 	// Patch branch targets now that every block has a pc.
 	for i := range fc.code {
 		in := &fc.code[i]
@@ -396,28 +431,42 @@ func isTerminator(op opcode) bool {
 	return false
 }
 
+// stepsOf is the number of interpreter steps one dispatch of op stands
+// for: both halves of a fused pair, nothing for the fell-through trap
+// (the interpreter errors after the block's last instruction without
+// taking another step), one otherwise.
+func stepsOf(op opcode) int32 {
+	switch op {
+	case opCmpBr, opGEPLoad, opGEPStore, opGEPVecLoad, opGEPVecStore:
+		return 2
+	case opFellThrough:
+		return 0
+	}
+	return 1
+}
+
 // tryFuse merges ins into the previous bytecode instruction when prev's
 // result feeds ins as its sole consumer. Returns the fused instruction
 // and true, or false when the pair doesn't fuse.
 func tryFuse(prev *instr, ins *instr) (instr, bool) {
 	switch {
 	case prev.op == opCmp && ins.op == opCondBr && ins.a == prev.dst:
-		return instr{op: opCmpBr, costK: prev.costK,
+		return instr{op: opCmpBr, costK: prev.costK, costK2: ins.costK,
 			a: prev.a, b: prev.b, pred: prev.pred, unsigned: prev.unsigned,
 			tb: ins.tb, eb: ins.eb}, true
 	case prev.op == opGEP && ins.op == opLoad && ins.a == prev.dst:
-		return instr{op: opGEPLoad, costK: prev.costK, dst: ins.dst,
+		return instr{op: opGEPLoad, costK: prev.costK, costK2: ins.costK, dst: ins.dst,
 			a: prev.a, b: prev.b, scale: prev.scale, off: prev.off,
 			cls: ins.cls, unsigned: ins.unsigned}, true
 	case prev.op == opGEP && ins.op == opStore && ins.a == prev.dst:
-		return instr{op: opGEPStore, costK: prev.costK,
+		return instr{op: opGEPStore, costK: prev.costK, costK2: ins.costK,
 			a: prev.a, b: prev.b, c: ins.b, scale: prev.scale, off: prev.off}, true
 	case prev.op == opGEP && ins.op == opVecLoad && ins.a == prev.dst:
-		return instr{op: opGEPVecLoad, costK: prev.costK, dst: ins.dst,
+		return instr{op: opGEPVecLoad, costK: prev.costK, costK2: ins.costK, dst: ins.dst,
 			a: prev.a, b: prev.b, scale: prev.scale, off: prev.off,
 			cls: ins.cls, width: ins.width, vecIdx: ins.vecIdx}, true
 	case prev.op == opGEP && ins.op == opVecStore && ins.a == prev.dst:
-		return instr{op: opGEPVecStore, costK: prev.costK,
+		return instr{op: opGEPVecStore, costK: prev.costK, costK2: ins.costK,
 			a: prev.a, b: prev.b, c: ins.b, scale: prev.scale, off: prev.off,
 			cls: ins.cls, width: ins.width}, true
 	}

@@ -20,18 +20,22 @@ type cell struct {
 }
 
 // Machine executes a compiled Program. Cycle accounting, address
-// assignment, and sanitizer behaviour are bit-identical to
-// interp.Machine by construction; see the package comment.
+// assignment, and sanitizer behaviour are identical to interp.Machine
+// by construction; see the package comment.
 type Machine struct {
-	p     *Program
-	costs interp.CostModel
+	p  *Program
+	mc interp.MilliCosts
 
-	// costTab resolves cost kinds against the machine's CostModel; the
-	// icache flag is resolved per function (same threshold rule as
-	// interp.icachePenalized). Sized 256 so indexing by the uint8 costK
-	// needs no bounds check in the dispatch loop.
-	costTab [256]float64
-	icache  []bool
+	// costTab resolves cost kinds to milli-cycles against the machine's
+	// CostModel. pen is each function's per-step icache penalty (same
+	// threshold rule as interp.icachePenalized), 0 when it pays none.
+	// segCost[fn][pc] is the milli-cycle prefix sum over the function's
+	// code — each pc's fixed cost, its fused second half, and pen per
+	// step — matching fnCode.steps, so a segment is charged with two
+	// subtractions.
+	costTab [256]int64
+	pen     []int64
+	segCost [][]int64
 
 	// mem is the dense typed memory image covering [memBase, nextAddr).
 	// Frame data is allocated stack-fashion: callFn records nextAddr on
@@ -45,8 +49,8 @@ type Machine struct {
 	wild     map[int64]cell
 	nextAddr int64
 
-	// Cycles is the accumulated simulated cycle count.
-	Cycles float64
+	// cycles is the accumulated simulated cycle count in milli-cycles.
+	cycles int64
 	// Executed counts retired instructions.
 	Executed int64
 	// SanFailures collects ubcheck violations (execution continues, like
@@ -58,33 +62,35 @@ type Machine struct {
 
 	// Profile enables per-pc cycle/retire attribution. Set it before the
 	// first Run. When off the dispatch loop pays nothing beyond one nil
-	// check per dispatch; when on, each dispatch charges the cycles
-	// accumulated since the previous dispatch to the previously executed
-	// pc (delta sampling), so handler-internal additions (memset, builtin
-	// calls, fused second halves, callee CallBase) land on the pc that
-	// caused them.
+	// check per segment; when on, every pc is its own segment and each
+	// one charges the cycles accumulated since the previous dispatch to
+	// the previously executed pc (delta sampling), so handler-internal
+	// additions (memset, builtin calls, callee CallBase) land on the pc
+	// that caused them.
 	Profile   bool
 	profCells []profCell
-	profBase  float64
+	profBase  int64
 	profLast  int
 
 	// framePool recycles activation frames per function (a stack per
-	// fnCode, so recursion just deepens the pool). Released frames are
-	// cleared: a register slot must read as zero until its defining
-	// instruction executes, exactly like the tree-walker's absent map
-	// entry, and alloca slot 0 is the unassigned sentinel.
+	// fnCode, so recursion just deepens the pool). Released frames have
+	// their value registers cleared: a register must read as zero until
+	// its defining instruction executes, exactly like the tree-walker's
+	// absent map entry, and alloca slot 0 is the unassigned sentinel.
+	// The constant slots keep the values the pool filled in.
 	framePool [][]*frame
 }
 
-// profCell is one pc's profile counters.
+// profCell is one pc's profile counters (cycles in milli-cycles).
 type profCell struct {
-	cycles  float64
+	cycles  int64
 	retired int64
 }
 
-// frame is the pooled per-activation state: register file, lazy alloca
-// addresses, lane buffers (one slot per vec-producing instruction), and
-// the call-argument scratch buffer.
+// frame is the pooled per-activation state: register file (value
+// registers, then the function's constants), lazy alloca addresses, lane
+// buffers (one slot per vec-producing instruction), and the
+// call-argument scratch buffer.
 type frame struct {
 	regs      []Val
 	allocas   []int64
@@ -93,27 +99,23 @@ type frame struct {
 	vecArgBuf []Val
 }
 
-// gatherInto fills the frame's argument scratch from register/constant
+// gatherInto fills the frame's argument scratch from register-file
 // operands. The scratch is consumed before the next gather on this
 // frame: a callee copies its params into its own registers on entry, and
 // builtins never re-enter the vm. clone unshares vec arguments — needed
 // only when the callee is a compiled function whose registers outlive
 // this instruction; builtins and vec-calls read lanes immediately and
 // never retain the value.
-func gatherInto(fr *frame, regs, consts []Val, xargs []int32, clone bool) []Val {
+func gatherInto(fr *frame, xargs []int32, clone bool) []Val {
 	if cap(fr.argBuf) < len(xargs) {
 		fr.argBuf = make([]Val, len(xargs))
 	}
 	out := fr.argBuf[:len(xargs)]
 	for i, s := range xargs {
-		if s >= 0 {
-			if clone {
-				out[i] = cloneVec(regs[s])
-			} else {
-				out[i] = regs[s]
-			}
+		if clone {
+			out[i] = cloneVec(fr.regs[s])
 		} else {
-			out[i] = consts[^s]
+			out[i] = fr.regs[s]
 		}
 	}
 	return out
@@ -125,7 +127,8 @@ func (m *Machine) acquireFrame(fc *fnCode) *frame {
 		m.framePool[fc.idx] = s[:len(s)-1]
 		return fr
 	}
-	fr := &frame{regs: make([]Val, fc.numRegs)}
+	fr := &frame{regs: make([]Val, fc.numRegs+len(fc.consts))}
+	copy(fr.regs[fc.numRegs:], fc.consts)
 	if fc.numAllocas > 0 {
 		fr.allocas = make([]int64, fc.numAllocas)
 	}
@@ -139,7 +142,7 @@ func (m *Machine) acquireFrame(fc *fnCode) *frame {
 // allocations by resetting the allocator to mark, its value on entry.
 func (m *Machine) releaseFrame(fc *fnCode, fr *frame, mark int64) {
 	m.nextAddr = mark
-	clear(fr.regs)
+	clear(fr.regs[:fc.numRegs])
 	clear(fr.allocas)
 	clear(fr.argBuf)
 	clear(fr.vecArgBuf)
@@ -153,29 +156,42 @@ func (m *Machine) releaseFrame(fc *fnCode, fr *frame, mark int64) {
 // table, materializes the global image, and starts the frame allocator
 // where the global layout left off.
 func New(p *Program, costs interp.CostModel) *Machine {
+	mc := costs.Milli()
 	m := &Machine{
 		p:        p,
-		costs:    costs,
+		mc:       mc,
 		nextAddr: p.memTop,
 		MaxSteps: 2_000_000_000,
 	}
-	m.costTab = [256]float64{
+	m.costTab = [256]int64{
 		costZero:     0,
-		costALU:      costs.ALU,
-		costALUHalf:  costs.ALU * 0.5,
-		costRegMove:  costs.RegMove,
-		costMemLoad:  costs.MemLoad,
-		costMemStore: costs.MemStore,
-		costBranch:   costs.Branch,
-		costDiv:      costs.Div,
-		costVecMem:   costs.VecMem,
-		costVecOp:    costs.VecOp,
-		costVecOp2:   costs.VecOp * 2,
+		costALU:      mc.ALU,
+		costALUHalf:  mc.ALUHalf,
+		costRegMove:  mc.RegMove,
+		costMemLoad:  mc.MemLoad,
+		costMemStore: mc.MemStore,
+		costBranch:   mc.Branch,
+		costDiv:      mc.Div,
+		costVecMem:   mc.VecMem,
+		costVecOp:    mc.VecOp,
+		costVecOp2:   mc.VecOp2,
 	}
-	m.icache = make([]bool, len(p.fns))
+	m.pen = make([]int64, len(p.fns))
+	m.segCost = make([][]int64, len(p.fns))
 	m.framePool = make([][]*frame, len(p.fns))
+	prefix := make([]int64, p.profCells+len(p.fns))
 	for i, fc := range p.fns {
-		m.icache[i] = fc.nonMeta > costs.ICacheThreshold && costs.ICachePenalty > 0
+		if fc.nonMeta > costs.ICacheThreshold && costs.ICachePenalty > 0 {
+			m.pen[i] = mc.ICachePenalty
+		}
+		pre := prefix[: len(fc.code)+1 : len(fc.code)+1]
+		prefix = prefix[len(pre):]
+		for pc := range fc.code {
+			in := &fc.code[pc]
+			pre[pc+1] = pre[pc] + m.costTab[in.costK] + m.costTab[in.costK2] +
+				m.pen[i]*int64(fc.steps[pc+1]-fc.steps[pc])
+		}
+		m.segCost[i] = pre
 	}
 	// Slack beyond the global image absorbs typical frame allocations
 	// without the grow-and-copy path; addresses in the slack read as zero
@@ -292,10 +308,10 @@ func (m *Machine) Run(name string, args ...Val) (Val, error) {
 		// own costs) so the profile total matches TotalCycles minus the
 		// top-level CallBase, which falls before the first sample.
 		if m.profLast >= 0 {
-			m.profCells[m.profLast].cycles += m.Cycles - m.profBase
+			m.profCells[m.profLast].cycles += m.cycles - m.profBase
 			m.profLast = -1
 		}
-		m.profBase = m.Cycles
+		m.profBase = m.cycles
 	}
 	return v, err
 }
@@ -311,8 +327,12 @@ func (m *Machine) RunArgs(name string, args ...int64) (int64, error) {
 }
 
 // TotalCycles returns the accumulated simulated cycle count (engine
-// interface shared with interp).
-func (m *Machine) TotalCycles() float64 { return m.Cycles }
+// interface shared with interp): the exact milli-cycle total over 1000.
+func (m *Machine) TotalCycles() float64 { return float64(m.cycles) / 1000 }
+
+// MilliCycles returns the accumulated simulated cycle count in integer
+// milli-cycles, the unit both engines account in.
+func (m *Machine) MilliCycles() int64 { return m.cycles }
 
 // SanitizerFailures returns the collected ubcheck violations.
 func (m *Machine) SanitizerFailures() []*interp.SanitizerFailure { return m.SanFailures }
@@ -323,7 +343,7 @@ func (m *Machine) Report(tel *telemetry.Session) {
 	if !tel.MetricsEnabled() {
 		return
 	}
-	tel.AddGauge("interp/cycles", m.Cycles)
+	tel.AddGauge("interp/cycles", m.TotalCycles())
 	tel.Count("interp/instrs_executed", m.Executed)
 	tel.Count("interp/san_failures", int64(len(m.SanFailures)))
 	m.reportOpMix(tel)
@@ -389,16 +409,27 @@ func cloneVec(v Val) Val {
 
 // callFn executes one function activation: the bytecode analogue of
 // interp.Machine.call + execBlock, with a flat pc loop over pre-resolved
-// branch targets. The per-instruction overhead (step budget, retired
-// count, icache penalty, then the op's fixed cost) performs the same
-// float additions in the same order as the tree-walker.
+// branch targets.
+//
+// Accounting is charged per segment, not per dispatch. On entering a
+// segment (a block, or the pc after a call) the loop adds the segment's
+// steps and milli-cycles from the prefix sums in one go and checks the
+// step budget once; handlers only compute values and add their
+// data-dependent costs. Integer sums do not depend on grouping, so the
+// totals equal the interpreter's per-instruction additions exactly. The
+// edge cases keep that equality:
+//   - a segment that would overrun MaxSteps is charged only up to the
+//     tripping step, runs up to it, and traps there (a fused pair that
+//     trips on its second half pays for its first);
+//   - a handler error un-charges the rest of its segment;
+//   - with profiling on every pc is its own segment, so delta sampling
+//     sees each dispatch.
 //
 // The accounting state (steps, retired count, cycles) lives in locals
-// for the duration of the loop and is written back on every exit and
-// around nested calls — the additions happen in the identical order, so
-// the final values are bit-identical to updating the fields directly.
-func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, rerr error) {
-	m.Cycles += m.costs.CallBase
+// for the duration of the loop and is written back on exit and around
+// nested calls.
+func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, err error) {
+	m.cycles += m.mc.CallBase
 	if fc.empty {
 		return Val{}, fmt.Errorf("vm: empty function %s", fc.name)
 	}
@@ -431,695 +462,671 @@ func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, rerr error) {
 		}
 		return b[:in.width:in.width]
 	}
-	// pen is the per-instruction icache penalty, or 0 for un-penalized
-	// functions (the loop skips the add entirely, like the interpreter).
-	var pen float64
-	if m.icache[fc.idx] {
-		pen = m.costs.ICachePenalty
-	}
 	code := fc.code
-	consts := m.p.consts
-	tab := &m.costTab
+	stepPre, segEnd := fc.steps, fc.segEnd
+	costPre := m.segCost[fc.idx]
 	prof := m.profCells
-	profOff := fc.profOff
-	// steps and Executed advance in lockstep (the budget-tripping step is
-	// the one exception, handled inline), so the loop keeps one counter
-	// and recovers steps from the bias on every write-back.
-	executed, cycles := m.Executed, m.Cycles
-	stepsBias := m.steps - executed
-	budget := m.MaxSteps - stepsBias
-	defer func() {
-		m.steps, m.Executed, m.Cycles = executed+stepsBias, executed, cycles
-	}()
-	ldp := func(s int32) *Val {
-		if s >= 0 {
-			return &regs[s]
-		}
-		return &consts[^s]
-	}
-	ld := func(s int32) Val { return *ldp(s) }
+	// steps and Executed advance in lockstep (a budget-tripping step is
+	// the one exception), so the loop keeps one counter and recovers
+	// steps from the bias on every write-back.
+	executed, cycles := m.Executed, m.cycles
+	bias := m.steps - executed
+	budget := m.MaxSteps - bias
 
-	pc := 0
+	pc, end := 0, 0
+	trip, half := false, false
+seg:
 	for {
-		in := &code[pc]
-		if in.op == opFellThrough {
-			// Not a real instruction — the interpreter errors after the
-			// block's last instruction without retiring anything more.
-			return Val{}, fmt.Errorf("vm: block %s fell through in %s", in.block, fc.name)
-		}
-		executed++
-		if executed > budget {
-			// The tripping step counts as a step but retires nothing,
-			// exactly like the interpreter's pre-retire budget check.
-			executed--
-			stepsBias++
-			return Val{}, fmt.Errorf("vm: step budget exceeded")
-		}
+		end = int(segEnd[pc])
 		if prof != nil {
+			end = pc + 1
+		}
+		if executed+int64(stepPre[end]-stepPre[pc]) > budget {
+			end, half = tripPoint(stepPre, pc, end, budget-executed)
+			trip = true
+		}
+		if prof != nil && (stepPre[end] > stepPre[pc] || half) {
 			// Delta sampling: everything added since the previous dispatch
-			// (its fixed cost, penalties, handler-internal additions, a
-			// callee's CallBase) belongs to the previously executed pc.
+			// (its costs, handler-internal additions, a callee's CallBase)
+			// belongs to the previously executed pc.
 			if m.profLast >= 0 {
 				prof[m.profLast].cycles += cycles - m.profBase
 			}
 			m.profBase = cycles
-			m.profLast = profOff + pc
-			prof[profOff+pc].retired++
+			m.profLast = fc.profOff + pc
+			prof[m.profLast].retired++
 		}
-		if pen != 0 {
-			cycles += pen
-		}
-		cycles += tab[in.costK]
+		executed += int64(stepPre[end] - stepPre[pc])
+		cycles += costPre[end] - costPre[pc]
 
-		switch in.op {
-		case opAlloca:
-			a := allocas[in.allocIdx]
-			if a == 0 {
-				a = m.alloc(in.allocSz)
-				allocas[in.allocIdx] = a
-			}
-			regs[in.dst] = interp.IV(a)
-
-		case opLoad:
-			addr := iv(ldp(in.a))
-			c := m.cellAt(addr)
-			if in.cls.IsFloat() {
-				if c.Fl {
-					regs[in.dst] = Val{F: c.F, Fl: true}
-				} else {
-					regs[in.dst] = Val{F: float64(c.I), Fl: true}
+		for ; pc < end; pc++ {
+			in := &code[pc]
+			switch in.op {
+			case opAlloca:
+				a := allocas[in.allocIdx]
+				if a == 0 {
+					a = m.alloc(in.allocSz)
+					allocas[in.allocIdx] = a
 				}
-			} else {
-				if c.Fl {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, ir.FloatToInt(c.F), in.unsigned)}
+				regs[in.dst] = interp.IV(a)
+
+			case opLoad:
+				addr := iv(&regs[in.a])
+				c := m.cellAt(addr)
+				if in.cls.IsFloat() {
+					if c.Fl {
+						regs[in.dst] = Val{F: c.F, Fl: true}
+					} else {
+						regs[in.dst] = Val{F: float64(c.I), Fl: true}
+					}
 				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, c.I, in.unsigned)}
+					if c.Fl {
+						regs[in.dst] = Val{I: ir.TruncInt(in.cls, ir.FloatToInt(c.F), in.unsigned)}
+					} else {
+						regs[in.dst] = Val{I: ir.TruncInt(in.cls, c.I, in.unsigned)}
+					}
 				}
-			}
 
-		case opStore:
-			addr := iv(ldp(in.a))
-			v := ldp(in.b)
-			if v.Fl {
-				m.setCell(addr, cell{F: v.F, Fl: true})
-			} else {
-				m.setCell(addr, cell{I: v.I})
-			}
-
-		case opGEP:
-			regs[in.dst] = Val{I: iv(ldp(in.a)) + iv(ldp(in.b))*in.scale + in.off}
-
-		case opFAdd:
-			regs[in.dst] = Val{F: fl(ldp(in.a)) + fl(ldp(in.b)), Fl: true}
-
-		case opFSub:
-			regs[in.dst] = Val{F: fl(ldp(in.a)) - fl(ldp(in.b)), Fl: true}
-
-		case opFMul:
-			regs[in.dst] = Val{F: fl(ldp(in.a)) * fl(ldp(in.b)), Fl: true}
-
-		case opIAdd:
-			a, b := ldp(in.a), ldp(in.b)
-			if a.Fl || b.Fl {
-				regs[in.dst] = Val{F: fl(a) + fl(b), Fl: true}
-			} else if in.cls == ir.I64 {
-				regs[in.dst] = Val{I: a.I + b.I}
-			} else {
-				regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I+b.I, in.unsigned)}
-			}
-
-		case opISub:
-			a, b := ldp(in.a), ldp(in.b)
-			if a.Fl || b.Fl {
-				regs[in.dst] = Val{F: fl(a) - fl(b), Fl: true}
-			} else if in.cls == ir.I64 {
-				regs[in.dst] = Val{I: a.I - b.I}
-			} else {
-				regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I-b.I, in.unsigned)}
-			}
-
-		case opIMul:
-			a, b := ldp(in.a), ldp(in.b)
-			if a.Fl || b.Fl {
-				regs[in.dst] = Val{F: fl(a) * fl(b), Fl: true}
-			} else if in.cls == ir.I64 {
-				regs[in.dst] = Val{I: a.I * b.I}
-			} else {
-				regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I*b.I, in.unsigned)}
-			}
-
-		case opIBits:
-			a, b := ldp(in.a), ldp(in.b)
-			if a.Fl || b.Fl {
-				return Val{}, fmt.Errorf("vm: bitwise op %s on float operands in %s", in.irOp, fc.name)
-			}
-			regs[in.dst] = Val{I: ir.FoldInt(in.irOp, in.cls, a.I, b.I, in.unsigned)}
-
-		case opBin:
-			v, err := interp.ScalarBin(in.irOp, in.cls, ld(in.a), ld(in.b), in.unsigned)
-			if err != nil {
-				return Val{}, fmt.Errorf("vm: %v in %s", err, fc.name)
-			}
-			regs[in.dst] = v
-
-		case opDivRem:
-			a, b := ldp(in.a), ldp(in.b)
-			if !a.Fl && !b.Fl && b.I == 0 {
-				return Val{}, fmt.Errorf("vm: division by zero in %s", fc.name)
-			}
-			if in.cls.IsFloat() || a.Fl || b.Fl {
-				// ScalarBin's float path; Div/Rem never fail on floats.
-				if in.irOp == ir.OpDiv {
-					regs[in.dst] = Val{F: fl(a) / fl(b), Fl: true}
+			case opStore:
+				addr := iv(&regs[in.a])
+				v := &regs[in.b]
+				if v.Fl {
+					m.setCell(addr, cell{F: v.F, Fl: true})
 				} else {
-					regs[in.dst] = Val{F: math.Mod(fl(a), fl(b)), Fl: true}
+					m.setCell(addr, cell{I: v.I})
 				}
-			} else {
+
+			case opGEP:
+				regs[in.dst] = Val{I: iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off}
+
+			case opFAdd:
+				regs[in.dst] = Val{F: fl(&regs[in.a]) + fl(&regs[in.b]), Fl: true}
+
+			case opFSub:
+				regs[in.dst] = Val{F: fl(&regs[in.a]) - fl(&regs[in.b]), Fl: true}
+
+			case opFMul:
+				regs[in.dst] = Val{F: fl(&regs[in.a]) * fl(&regs[in.b]), Fl: true}
+
+			case opIAdd:
+				a, b := &regs[in.a], &regs[in.b]
+				if a.Fl || b.Fl {
+					regs[in.dst] = Val{F: fl(a) + fl(b), Fl: true}
+				} else if in.cls == ir.I64 {
+					regs[in.dst] = Val{I: a.I + b.I}
+				} else {
+					regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I+b.I, in.unsigned)}
+				}
+
+			case opISub:
+				a, b := &regs[in.a], &regs[in.b]
+				if a.Fl || b.Fl {
+					regs[in.dst] = Val{F: fl(a) - fl(b), Fl: true}
+				} else if in.cls == ir.I64 {
+					regs[in.dst] = Val{I: a.I - b.I}
+				} else {
+					regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I-b.I, in.unsigned)}
+				}
+
+			case opIMul:
+				a, b := &regs[in.a], &regs[in.b]
+				if a.Fl || b.Fl {
+					regs[in.dst] = Val{F: fl(a) * fl(b), Fl: true}
+				} else if in.cls == ir.I64 {
+					regs[in.dst] = Val{I: a.I * b.I}
+				} else {
+					regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I*b.I, in.unsigned)}
+				}
+
+			case opIBits:
+				a, b := &regs[in.a], &regs[in.b]
+				if a.Fl || b.Fl {
+					err = fmt.Errorf("vm: bitwise op %s on float operands in %s", in.irOp, fc.name)
+					goto fail
+				}
 				regs[in.dst] = Val{I: ir.FoldInt(in.irOp, in.cls, a.I, b.I, in.unsigned)}
-			}
 
-		case opNeg:
-			a := ldp(in.a)
-			if a.Fl {
-				regs[in.dst] = Val{F: -a.F, Fl: true}
-			} else {
-				regs[in.dst] = Val{I: ir.TruncInt(in.cls, -a.I, in.unsigned)}
-			}
-
-		case opNot:
-			regs[in.dst] = Val{I: ir.TruncInt(in.cls, ^iv(ldp(in.a)), in.unsigned)}
-
-		case opCmp:
-			a, b := ldp(in.a), ldp(in.b)
-			var r bool
-			if a.Fl || b.Fl {
-				r = ir.CompareFloat(in.pred, fl(a), fl(b))
-			} else {
-				r = ir.CompareInt(in.pred, a.I, b.I, in.unsigned)
-			}
-			regs[in.dst] = Val{I: b2i(r)}
-
-		case opSelect:
-			if iv(ldp(in.a)) != 0 {
-				regs[in.dst] = cloneVec(*ldp(in.b))
-			} else {
-				regs[in.dst] = cloneVec(*ldp(in.c))
-			}
-
-		case opConvert:
-			v := ldp(in.a)
-			if in.cls.IsFloat() {
-				regs[in.dst] = Val{F: fl(v), Fl: true}
-			} else {
-				regs[in.dst] = Val{I: ir.TruncInt(in.cls, iv(v), in.unsigned)}
-			}
-
-		case opCallFn:
-			m.steps, m.Executed, m.Cycles = executed+stepsBias, executed, cycles
-			v, err := m.callFn(in.fn, gatherInto(fr, regs, consts, in.xargs, true))
-			executed, cycles = m.Executed, m.Cycles
-			stepsBias = m.steps - executed
-			budget = m.MaxSteps - stepsBias
-			if err != nil {
-				return Val{}, err
-			}
-			if in.cls != ir.Void {
+			case opBin:
+				v, serr := interp.ScalarBin(in.irOp, in.cls, regs[in.a], regs[in.b], in.unsigned)
+				if serr != nil {
+					err = fmt.Errorf("vm: %v in %s", serr, fc.name)
+					goto fail
+				}
 				regs[in.dst] = v
-			}
 
-		case opCallBuiltin:
-			v, _, err := interp.CallBuiltin(in.callee, gatherInto(fr, regs, consts, in.xargs, false))
-			cycles += m.costs.BuiltinCall
-			if err != nil {
-				return Val{}, err
-			}
-			if in.cls != ir.Void {
-				regs[in.dst] = v
-			}
-
-		case opCallIndirect:
-			addr := iv(ldp(in.a))
-			name, ok := m.p.funcNames[addr]
-			if !ok {
-				return Val{}, fmt.Errorf("vm: bad indirect call in %s", fc.name)
-			}
-			callArgs := gatherInto(fr, regs, consts, in.xargs, true)
-			if v, isB, err := interp.CallBuiltin(name, callArgs); isB {
-				cycles += m.costs.BuiltinCall
-				if err != nil {
-					return Val{}, err
+			case opDivRem:
+				a, b := &regs[in.a], &regs[in.b]
+				if !a.Fl && !b.Fl && b.I == 0 {
+					err = fmt.Errorf("vm: division by zero in %s", fc.name)
+					goto fail
 				}
-				if in.cls != ir.Void {
-					regs[in.dst] = v
-				}
-			} else if fn, ok := m.p.byName[name]; ok {
-				m.steps, m.Executed, m.Cycles = executed+stepsBias, executed, cycles
-				v, err := m.callFn(fn, callArgs)
-				executed, cycles = m.Executed, m.Cycles
-				stepsBias = m.steps - executed
-				budget = m.MaxSteps - stepsBias
-				if err != nil {
-					return Val{}, err
-				}
-				if in.cls != ir.Void {
-					regs[in.dst] = v
-				}
-			} else {
-				return Val{}, fmt.Errorf("vm: call to undefined %q from %s", name, fc.name)
-			}
-
-		case opCallUndefined:
-			return Val{}, fmt.Errorf("vm: call to undefined %q from %s", in.callee, fc.name)
-
-		case opBr:
-			pc = int(in.target)
-			continue
-
-		case opCondBr:
-			if iv(ldp(in.a)) != 0 {
-				pc = int(in.target)
-			} else {
-				pc = int(in.elseT)
-			}
-			continue
-
-		case opCmpBr:
-			// Fused cmp+condbr. The loop head accounted for the cmp; the
-			// branch's accounting runs here, in the interpreter's order.
-			a, b := ldp(in.a), ldp(in.b)
-			var r bool
-			if a.Fl || b.Fl {
-				r = ir.CompareFloat(in.pred, fl(a), fl(b))
-			} else {
-				r = ir.CompareInt(in.pred, a.I, b.I, in.unsigned)
-			}
-			executed++
-			if executed > budget {
-				executed--
-				stepsBias++
-				return Val{}, fmt.Errorf("vm: step budget exceeded")
-			}
-			if pen != 0 {
-				cycles += pen
-			}
-			cycles += tab[costBranch]
-			if r {
-				pc = int(in.target)
-			} else {
-				pc = int(in.elseT)
-			}
-			continue
-
-		case opGEPLoad:
-			// Fused gep+load; the gep's dead register is never written.
-			addr := iv(ldp(in.a)) + iv(ldp(in.b))*in.scale + in.off
-			executed++
-			if executed > budget {
-				executed--
-				stepsBias++
-				return Val{}, fmt.Errorf("vm: step budget exceeded")
-			}
-			if pen != 0 {
-				cycles += pen
-			}
-			cycles += tab[costMemLoad]
-			c := m.cellAt(addr)
-			if in.cls.IsFloat() {
-				if c.Fl {
-					regs[in.dst] = Val{F: c.F, Fl: true}
-				} else {
-					regs[in.dst] = Val{F: float64(c.I), Fl: true}
-				}
-			} else {
-				if c.Fl {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, ir.FloatToInt(c.F), in.unsigned)}
-				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, c.I, in.unsigned)}
-				}
-			}
-
-		case opGEPStore:
-			addr := iv(ldp(in.a)) + iv(ldp(in.b))*in.scale + in.off
-			executed++
-			if executed > budget {
-				executed--
-				stepsBias++
-				return Val{}, fmt.Errorf("vm: step budget exceeded")
-			}
-			if pen != 0 {
-				cycles += pen
-			}
-			cycles += tab[costMemStore]
-			v := ldp(in.c)
-			if v.Fl {
-				m.setCell(addr, cell{F: v.F, Fl: true})
-			} else {
-				m.setCell(addr, cell{I: v.I})
-			}
-
-		case opGEPVecLoad:
-			base := iv(ldp(in.a)) + iv(ldp(in.b))*in.scale + in.off
-			executed++
-			if executed > budget {
-				executed--
-				stepsBias++
-				return Val{}, fmt.Errorf("vm: step budget exceeded")
-			}
-			if pen != 0 {
-				cycles += pen
-			}
-			cycles += tab[costVecMem]
-			ls := lanes(in)
-			stride := int64(in.cls.Size())
-			if in.cls.IsFloat() {
-				for l := range ls {
-					c := m.cellAt(base + int64(l)*stride)
-					if c.Fl {
-						ls[l] = Val{F: c.F, Fl: true}
+				if in.cls.IsFloat() || a.Fl || b.Fl {
+					// ScalarBin's float path; Div/Rem never fail on floats.
+					if in.irOp == ir.OpDiv {
+						regs[in.dst] = Val{F: fl(a) / fl(b), Fl: true}
 					} else {
-						ls[l] = Val{F: float64(c.I), Fl: true}
+						regs[in.dst] = Val{F: math.Mod(fl(a), fl(b)), Fl: true}
 					}
-				}
-			} else {
-				for l := range ls {
-					ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
-				}
-			}
-			regs[in.dst] = Val{Vec: ls}
-
-		case opGEPVecStore:
-			base := iv(ldp(in.a)) + iv(ldp(in.b))*in.scale + in.off
-			executed++
-			if executed > budget {
-				executed--
-				stepsBias++
-				return Val{}, fmt.Errorf("vm: step budget exceeded")
-			}
-			if pen != 0 {
-				cycles += pen
-			}
-			cycles += tab[costVecMem]
-			v := ldp(in.c)
-			stride := int64(in.cls.Size())
-			for l := 0; l < in.width && l < len(v.Vec); l++ {
-				lane := &v.Vec[l]
-				if lane.Fl {
-					m.setCell(base+int64(l)*stride, cell{F: lane.F, Fl: true})
 				} else {
-					m.setCell(base+int64(l)*stride, cell{I: lane.I})
+					regs[in.dst] = Val{I: ir.FoldInt(in.irOp, in.cls, a.I, b.I, in.unsigned)}
 				}
-			}
 
-		case opRet:
-			return cloneVec(ld(in.a)), nil
-
-		case opRetVoid:
-			return Val{}, nil
-
-		case opUBCheck:
-			p1 := iv(ldp(in.a))
-			p2 := iv(ldp(in.b))
-			if p1 == p2 {
-				m.SanFailures = append(m.SanFailures,
-					&interp.SanitizerFailure{Fn: fc.name, Addr: p1, Meta: in.meta})
-			}
-
-		case opMemset:
-			ptr := iv(ldp(in.a))
-			v := ldp(in.b)
-			length := iv(ldp(in.c))
-			var c cell
-			if v.Fl {
-				c = cell{F: v.F, Fl: true}
-			} else {
-				c = cell{I: v.I}
-			}
-			for off := int64(0); off < length; off += in.scale {
-				m.setCell(ptr+off, c)
-			}
-			cycles += m.costs.MemsetBase + m.costs.MemsetPerByte*float64(length)
-
-		case opMemcpy:
-			dst := iv(ldp(in.a))
-			src := iv(ldp(in.b))
-			length := iv(ldp(in.c))
-			for off := int64(0); off < length; off += in.scale {
-				m.setCell(dst+off, m.cellAt(src+off))
-			}
-			cycles += m.costs.MemsetBase + m.costs.MemsetPerByte*float64(length)
-
-		case opVecLoad:
-			base := iv(ldp(in.a))
-			ls := lanes(in)
-			stride := int64(in.cls.Size())
-			if in.cls.IsFloat() {
-				for l := range ls {
-					c := m.cellAt(base + int64(l)*stride)
-					if c.Fl {
-						ls[l] = Val{F: c.F, Fl: true}
-					} else {
-						ls[l] = Val{F: float64(c.I), Fl: true}
-					}
-				}
-			} else {
-				for l := range ls {
-					ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
-				}
-			}
-			regs[in.dst] = Val{Vec: ls}
-
-		case opVecStore:
-			base := iv(ldp(in.a))
-			v := ldp(in.b)
-			stride := int64(in.cls.Size())
-			for l := 0; l < in.width && l < len(v.Vec); l++ {
-				lane := &v.Vec[l]
-				if lane.Fl {
-					m.setCell(base+int64(l)*stride, cell{F: lane.F, Fl: true})
+			case opNeg:
+				a := &regs[in.a]
+				if a.Fl {
+					regs[in.dst] = Val{F: -a.F, Fl: true}
 				} else {
-					m.setCell(base+int64(l)*stride, cell{I: lane.I})
+					regs[in.dst] = Val{I: ir.TruncInt(in.cls, -a.I, in.unsigned)}
 				}
-			}
 
-		case opVecSplat:
-			// Cloning here also launders any (degenerate) vector-of-vector
-			// lane: every Vec reachable from a lane value is immutable.
-			s := cloneVec(ld(in.a))
-			ls := lanes(in)
-			for l := range ls {
-				ls[l] = s
-			}
-			regs[in.dst] = Val{Vec: ls}
+			case opNot:
+				regs[in.dst] = Val{I: ir.TruncInt(in.cls, ^iv(&regs[in.a]), in.unsigned)}
 
-		case opVecBinF:
-			// Float-class lane-wise arithmetic: the ScalarBin float path
-			// (ir.FoldFloat) unrolled per opcode, one slice allocation.
-			a, b := ldp(in.a), ldp(in.b)
-			lanes := lanes(in)
-			switch in.vecOp {
-			case ir.OpAdd:
-				for l := range lanes {
-					lanes[l] = Val{F: laneF(a, l) + laneF(b, l), Fl: true}
-				}
-			case ir.OpSub:
-				for l := range lanes {
-					lanes[l] = Val{F: laneF(a, l) - laneF(b, l), Fl: true}
-				}
-			case ir.OpMul:
-				for l := range lanes {
-					lanes[l] = Val{F: laneF(a, l) * laneF(b, l), Fl: true}
-				}
-			case ir.OpDiv:
-				for l := range lanes {
-					lanes[l] = Val{F: laneF(a, l) / laneF(b, l), Fl: true}
-				}
-			default: // ir.OpRem
-				for l := range lanes {
-					lanes[l] = Val{F: math.Mod(laneF(a, l), laneF(b, l)), Fl: true}
-				}
-			}
-			regs[in.dst] = Val{Vec: lanes}
-
-		case opVecReduceFAdd:
-			// Float add-reduction; a 1-wide reduce returns lane 0
-			// untouched (interp folds from lane 0 without converting it).
-			a := ldp(in.a)
-			if in.width == 1 {
-				if a.Vec == nil {
-					regs[in.dst] = *a
-				} else if len(a.Vec) > 0 {
-					regs[in.dst] = a.Vec[0]
-				} else {
-					regs[in.dst] = Val{}
-				}
-			} else {
-				acc := laneF(a, 0)
-				for l := 1; l < in.width; l++ {
-					acc += laneF(a, l)
-				}
-				regs[in.dst] = Val{F: acc, Fl: true}
-			}
-
-		case opVecBinI:
-			// Int-class lane-wise binary op. The dominant index-vector
-			// shapes (64-bit add/sub/mul) run without the FoldInt call;
-			// float-tagged lanes take ScalarBin's float path inline (for
-			// add/sub/mul that is just the float op).
-			a, b := ldp(in.a), ldp(in.b)
-			ls := lanes(in)
-			i64 := in.cls == ir.I64
-			switch in.vecOp {
-			case ir.OpAdd:
-				for l := range ls {
-					la, lb := lanePtr(a, l), lanePtr(b, l)
-					if la.Fl || lb.Fl {
-						ls[l] = Val{F: fl(la) + fl(lb), Fl: true}
-					} else if i64 {
-						ls[l] = Val{I: la.I + lb.I}
-					} else {
-						ls[l] = Val{I: ir.TruncInt(in.cls, la.I+lb.I, in.unsigned)}
-					}
-				}
-				regs[in.dst] = Val{Vec: ls}
-				pc++
-				continue
-			case ir.OpSub:
-				for l := range ls {
-					la, lb := lanePtr(a, l), lanePtr(b, l)
-					if la.Fl || lb.Fl {
-						ls[l] = Val{F: fl(la) - fl(lb), Fl: true}
-					} else if i64 {
-						ls[l] = Val{I: la.I - lb.I}
-					} else {
-						ls[l] = Val{I: ir.TruncInt(in.cls, la.I-lb.I, in.unsigned)}
-					}
-				}
-				regs[in.dst] = Val{Vec: ls}
-				pc++
-				continue
-			case ir.OpMul:
-				for l := range ls {
-					la, lb := lanePtr(a, l), lanePtr(b, l)
-					if la.Fl || lb.Fl {
-						ls[l] = Val{F: fl(la) * fl(lb), Fl: true}
-					} else if i64 {
-						ls[l] = Val{I: la.I * lb.I}
-					} else {
-						ls[l] = Val{I: ir.TruncInt(in.cls, la.I*lb.I, in.unsigned)}
-					}
-				}
-				regs[in.dst] = Val{Vec: ls}
-				pc++
-				continue
-			}
-			for l := range ls {
-				la, lb := lanePtr(a, l), lanePtr(b, l)
-				if la.Fl || lb.Fl {
-					v, err := interp.ScalarBin(in.vecOp, in.cls, *la, *lb, in.unsigned)
-					if err != nil {
-						return Val{}, fmt.Errorf("vm: %v in %s", err, fc.name)
-					}
-					ls[l] = v
-				} else {
-					ls[l] = Val{I: ir.FoldInt(in.vecOp, in.cls, la.I, lb.I, in.unsigned)}
-				}
-			}
-			regs[in.dst] = Val{Vec: ls}
-
-		case opVecCmp:
-			// Lane-wise compare: interp.CompareVals inlined by pointer.
-			a, b := ldp(in.a), ldp(in.b)
-			ls := lanes(in)
-			for l := range ls {
-				la, lb := lanePtr(a, l), lanePtr(b, l)
+			case opCmp:
+				a, b := &regs[in.a], &regs[in.b]
 				var r bool
-				if la.Fl || lb.Fl {
-					r = ir.CompareFloat(in.pred, fl(la), fl(lb))
+				if a.Fl || b.Fl {
+					r = ir.CompareFloat(in.pred, fl(a), fl(b))
 				} else {
-					r = ir.CompareInt(in.pred, la.I, lb.I, in.unsigned)
+					r = ir.CompareInt(in.pred, a.I, b.I, in.unsigned)
 				}
-				ls[l] = Val{I: b2i(r)}
-			}
-			regs[in.dst] = Val{Vec: ls}
+				regs[in.dst] = Val{I: b2i(r)}
 
-		case opVecBin:
-			a, b := ld(in.a), ld(in.b)
-			lanes := lanes(in)
-			for l := 0; l < in.width; l++ {
-				la, lb := interp.Lane(a, l), interp.Lane(b, l)
-				if in.vecOp == ir.OpCmp {
-					lanes[l] = interp.IV(b2i(interp.CompareVals(in.pred, la, lb, in.unsigned)))
+			case opSelect:
+				if iv(&regs[in.a]) != 0 {
+					regs[in.dst] = cloneVec(regs[in.b])
 				} else {
-					v, err := interp.ScalarBin(in.vecOp, in.cls, la, lb, in.unsigned)
-					if err != nil {
-						return Val{}, fmt.Errorf("vm: %v in %s", err, fc.name)
+					regs[in.dst] = cloneVec(regs[in.c])
+				}
+
+			case opConvert:
+				v := &regs[in.a]
+				if in.cls.IsFloat() {
+					regs[in.dst] = Val{F: fl(v), Fl: true}
+				} else {
+					regs[in.dst] = Val{I: ir.TruncInt(in.cls, iv(v), in.unsigned)}
+				}
+
+			case opCallFn:
+				m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
+				v, cerr := m.callFn(in.fn, gatherInto(fr, in.xargs, true))
+				executed, cycles = m.Executed, m.cycles
+				bias = m.steps - executed
+				budget = m.MaxSteps - bias
+				if cerr != nil {
+					err = cerr
+					goto fail
+				}
+				if in.cls != ir.Void {
+					regs[in.dst] = v
+				}
+
+			case opCallBuiltin:
+				v, _, berr := interp.CallBuiltin(in.callee, gatherInto(fr, in.xargs, false))
+				cycles += m.mc.BuiltinCall
+				if berr != nil {
+					err = berr
+					goto fail
+				}
+				if in.cls != ir.Void {
+					regs[in.dst] = v
+				}
+
+			case opCallIndirect:
+				addr := iv(&regs[in.a])
+				name, ok := m.p.funcNames[addr]
+				if !ok {
+					err = fmt.Errorf("vm: bad indirect call in %s", fc.name)
+					goto fail
+				}
+				callArgs := gatherInto(fr, in.xargs, true)
+				if v, isB, berr := interp.CallBuiltin(name, callArgs); isB {
+					cycles += m.mc.BuiltinCall
+					if berr != nil {
+						err = berr
+						goto fail
+					}
+					if in.cls != ir.Void {
+						regs[in.dst] = v
+					}
+				} else if fn, ok := m.p.byName[name]; ok {
+					m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
+					v, cerr := m.callFn(fn, callArgs)
+					executed, cycles = m.Executed, m.cycles
+					bias = m.steps - executed
+					budget = m.MaxSteps - bias
+					if cerr != nil {
+						err = cerr
+						goto fail
+					}
+					if in.cls != ir.Void {
+						regs[in.dst] = v
+					}
+				} else {
+					err = fmt.Errorf("vm: call to undefined %q from %s", name, fc.name)
+					goto fail
+				}
+
+			case opFellThrough:
+				// Not a real instruction (zero steps, zero cost): the
+				// interpreter errors after the block's last instruction.
+				err = fmt.Errorf("vm: block %s fell through in %s", in.block, fc.name)
+				goto fail
+
+			case opCallUndefined:
+				err = fmt.Errorf("vm: call to undefined %q from %s", in.callee, fc.name)
+				goto fail
+
+			case opBr:
+				pc = int(in.target)
+				continue seg
+
+			case opCondBr:
+				if iv(&regs[in.a]) != 0 {
+					pc = int(in.target)
+				} else {
+					pc = int(in.elseT)
+				}
+				continue seg
+
+			case opCmpBr:
+				// Fused cmp+condbr.
+				a, b := &regs[in.a], &regs[in.b]
+				var r bool
+				if a.Fl || b.Fl {
+					r = ir.CompareFloat(in.pred, fl(a), fl(b))
+				} else {
+					r = ir.CompareInt(in.pred, a.I, b.I, in.unsigned)
+				}
+				if r {
+					pc = int(in.target)
+				} else {
+					pc = int(in.elseT)
+				}
+				continue seg
+
+			case opGEPLoad:
+				// Fused gep+load; the gep's dead register is never written.
+				addr := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
+				c := m.cellAt(addr)
+				if in.cls.IsFloat() {
+					if c.Fl {
+						regs[in.dst] = Val{F: c.F, Fl: true}
+					} else {
+						regs[in.dst] = Val{F: float64(c.I), Fl: true}
+					}
+				} else {
+					if c.Fl {
+						regs[in.dst] = Val{I: ir.TruncInt(in.cls, ir.FloatToInt(c.F), in.unsigned)}
+					} else {
+						regs[in.dst] = Val{I: ir.TruncInt(in.cls, c.I, in.unsigned)}
+					}
+				}
+
+			case opGEPStore:
+				addr := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
+				v := &regs[in.c]
+				if v.Fl {
+					m.setCell(addr, cell{F: v.F, Fl: true})
+				} else {
+					m.setCell(addr, cell{I: v.I})
+				}
+
+			case opGEPVecLoad:
+				base := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
+				ls := lanes(in)
+				stride := int64(in.cls.Size())
+				if in.cls.IsFloat() {
+					for l := range ls {
+						c := m.cellAt(base + int64(l)*stride)
+						if c.Fl {
+							ls[l] = Val{F: c.F, Fl: true}
+						} else {
+							ls[l] = Val{F: float64(c.I), Fl: true}
+						}
+					}
+				} else {
+					for l := range ls {
+						ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
+					}
+				}
+				regs[in.dst] = Val{Vec: ls}
+
+			case opGEPVecStore:
+				base := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
+				v := &regs[in.c]
+				stride := int64(in.cls.Size())
+				for l := 0; l < in.width && l < len(v.Vec); l++ {
+					lane := &v.Vec[l]
+					if lane.Fl {
+						m.setCell(base+int64(l)*stride, cell{F: lane.F, Fl: true})
+					} else {
+						m.setCell(base+int64(l)*stride, cell{I: lane.I})
+					}
+				}
+
+			case opRet:
+				rv = cloneVec(regs[in.a])
+				goto out
+
+			case opRetVoid:
+				goto out
+
+			case opUBCheck:
+				p1 := iv(&regs[in.a])
+				p2 := iv(&regs[in.b])
+				if p1 == p2 {
+					m.SanFailures = append(m.SanFailures,
+						&interp.SanitizerFailure{Fn: fc.name, Addr: p1, Meta: in.meta})
+				}
+
+			case opMemset:
+				ptr := iv(&regs[in.a])
+				v := &regs[in.b]
+				length := iv(&regs[in.c])
+				var c cell
+				if v.Fl {
+					c = cell{F: v.F, Fl: true}
+				} else {
+					c = cell{I: v.I}
+				}
+				for off := int64(0); off < length; off += in.scale {
+					m.setCell(ptr+off, c)
+				}
+				cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
+
+			case opMemcpy:
+				dst := iv(&regs[in.a])
+				src := iv(&regs[in.b])
+				length := iv(&regs[in.c])
+				for off := int64(0); off < length; off += in.scale {
+					m.setCell(dst+off, m.cellAt(src+off))
+				}
+				cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
+
+			case opVecLoad:
+				base := iv(&regs[in.a])
+				ls := lanes(in)
+				stride := int64(in.cls.Size())
+				if in.cls.IsFloat() {
+					for l := range ls {
+						c := m.cellAt(base + int64(l)*stride)
+						if c.Fl {
+							ls[l] = Val{F: c.F, Fl: true}
+						} else {
+							ls[l] = Val{F: float64(c.I), Fl: true}
+						}
+					}
+				} else {
+					for l := range ls {
+						ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
+					}
+				}
+				regs[in.dst] = Val{Vec: ls}
+
+			case opVecStore:
+				base := iv(&regs[in.a])
+				v := &regs[in.b]
+				stride := int64(in.cls.Size())
+				for l := 0; l < in.width && l < len(v.Vec); l++ {
+					lane := &v.Vec[l]
+					if lane.Fl {
+						m.setCell(base+int64(l)*stride, cell{F: lane.F, Fl: true})
+					} else {
+						m.setCell(base+int64(l)*stride, cell{I: lane.I})
+					}
+				}
+
+			case opVecSplat:
+				// Cloning here also launders any (degenerate) vector-of-vector
+				// lane: every Vec reachable from a lane value is immutable.
+				s := cloneVec(regs[in.a])
+				ls := lanes(in)
+				for l := range ls {
+					ls[l] = s
+				}
+				regs[in.dst] = Val{Vec: ls}
+
+			case opVecBinF:
+				// Float-class lane-wise arithmetic: the ScalarBin float path
+				// (ir.FoldFloat) unrolled per opcode, one slice allocation.
+				a, b := &regs[in.a], &regs[in.b]
+				lanes := lanes(in)
+				switch in.vecOp {
+				case ir.OpAdd:
+					for l := range lanes {
+						lanes[l] = Val{F: laneF(a, l) + laneF(b, l), Fl: true}
+					}
+				case ir.OpSub:
+					for l := range lanes {
+						lanes[l] = Val{F: laneF(a, l) - laneF(b, l), Fl: true}
+					}
+				case ir.OpMul:
+					for l := range lanes {
+						lanes[l] = Val{F: laneF(a, l) * laneF(b, l), Fl: true}
+					}
+				case ir.OpDiv:
+					for l := range lanes {
+						lanes[l] = Val{F: laneF(a, l) / laneF(b, l), Fl: true}
+					}
+				default: // ir.OpRem
+					for l := range lanes {
+						lanes[l] = Val{F: math.Mod(laneF(a, l), laneF(b, l)), Fl: true}
+					}
+				}
+				regs[in.dst] = Val{Vec: lanes}
+
+			case opVecReduceFAdd:
+				// Float add-reduction; a 1-wide reduce returns lane 0
+				// untouched (interp folds from lane 0 without converting it).
+				a := &regs[in.a]
+				if in.width == 1 {
+					if a.Vec == nil {
+						regs[in.dst] = *a
+					} else if len(a.Vec) > 0 {
+						regs[in.dst] = a.Vec[0]
+					} else {
+						regs[in.dst] = Val{}
+					}
+				} else {
+					acc := laneF(a, 0)
+					for l := 1; l < in.width; l++ {
+						acc += laneF(a, l)
+					}
+					regs[in.dst] = Val{F: acc, Fl: true}
+				}
+
+			case opVecBinI:
+				// Int-class lane-wise binary op. The dominant index-vector
+				// shapes (64-bit add/sub/mul) run without the FoldInt call;
+				// float-tagged lanes take ScalarBin's float path inline (for
+				// add/sub/mul that is just the float op).
+				a, b := &regs[in.a], &regs[in.b]
+				ls := lanes(in)
+				i64 := in.cls == ir.I64
+				switch in.vecOp {
+				case ir.OpAdd:
+					for l := range ls {
+						la, lb := lanePtr(a, l), lanePtr(b, l)
+						if la.Fl || lb.Fl {
+							ls[l] = Val{F: fl(la) + fl(lb), Fl: true}
+						} else if i64 {
+							ls[l] = Val{I: la.I + lb.I}
+						} else {
+							ls[l] = Val{I: ir.TruncInt(in.cls, la.I+lb.I, in.unsigned)}
+						}
+					}
+					regs[in.dst] = Val{Vec: ls}
+					continue
+				case ir.OpSub:
+					for l := range ls {
+						la, lb := lanePtr(a, l), lanePtr(b, l)
+						if la.Fl || lb.Fl {
+							ls[l] = Val{F: fl(la) - fl(lb), Fl: true}
+						} else if i64 {
+							ls[l] = Val{I: la.I - lb.I}
+						} else {
+							ls[l] = Val{I: ir.TruncInt(in.cls, la.I-lb.I, in.unsigned)}
+						}
+					}
+					regs[in.dst] = Val{Vec: ls}
+					continue
+				case ir.OpMul:
+					for l := range ls {
+						la, lb := lanePtr(a, l), lanePtr(b, l)
+						if la.Fl || lb.Fl {
+							ls[l] = Val{F: fl(la) * fl(lb), Fl: true}
+						} else if i64 {
+							ls[l] = Val{I: la.I * lb.I}
+						} else {
+							ls[l] = Val{I: ir.TruncInt(in.cls, la.I*lb.I, in.unsigned)}
+						}
+					}
+					regs[in.dst] = Val{Vec: ls}
+					continue
+				}
+				for l := range ls {
+					la, lb := lanePtr(a, l), lanePtr(b, l)
+					if la.Fl || lb.Fl {
+						v, serr := interp.ScalarBin(in.vecOp, in.cls, *la, *lb, in.unsigned)
+						if serr != nil {
+							err = fmt.Errorf("vm: %v in %s", serr, fc.name)
+							goto fail
+						}
+						ls[l] = v
+					} else {
+						ls[l] = Val{I: ir.FoldInt(in.vecOp, in.cls, la.I, lb.I, in.unsigned)}
+					}
+				}
+				regs[in.dst] = Val{Vec: ls}
+
+			case opVecCmp:
+				// Lane-wise compare: interp.CompareVals inlined by pointer.
+				a, b := &regs[in.a], &regs[in.b]
+				ls := lanes(in)
+				for l := range ls {
+					la, lb := lanePtr(a, l), lanePtr(b, l)
+					var r bool
+					if la.Fl || lb.Fl {
+						r = ir.CompareFloat(in.pred, fl(la), fl(lb))
+					} else {
+						r = ir.CompareInt(in.pred, la.I, lb.I, in.unsigned)
+					}
+					ls[l] = Val{I: b2i(r)}
+				}
+				regs[in.dst] = Val{Vec: ls}
+
+			case opVecBin:
+				a, b := regs[in.a], regs[in.b]
+				lanes := lanes(in)
+				for l := 0; l < in.width; l++ {
+					la, lb := interp.Lane(a, l), interp.Lane(b, l)
+					if in.vecOp == ir.OpCmp {
+						lanes[l] = interp.IV(b2i(interp.CompareVals(in.pred, la, lb, in.unsigned)))
+					} else {
+						v, serr := interp.ScalarBin(in.vecOp, in.cls, la, lb, in.unsigned)
+						if serr != nil {
+							err = fmt.Errorf("vm: %v in %s", serr, fc.name)
+							goto fail
+						}
+						lanes[l] = v
+					}
+				}
+				regs[in.dst] = Val{Vec: lanes}
+
+			case opVecReduce:
+				a := regs[in.a]
+				acc := interp.Lane(a, 0)
+				for l := 1; l < in.width; l++ {
+					v, serr := interp.ScalarBin(in.vecOp, in.cls, acc, interp.Lane(a, l), in.unsigned)
+					if serr != nil {
+						err = fmt.Errorf("vm: %v in %s", serr, fc.name)
+						goto fail
+					}
+					acc = v
+				}
+				regs[in.dst] = acc
+
+			case opVecIota:
+				lanes := lanes(in)
+				for l := range lanes {
+					if in.cls.IsFloat() {
+						lanes[l] = interp.FV(float64(l))
+					} else {
+						lanes[l] = interp.IV(int64(l))
+					}
+				}
+				regs[in.dst] = Val{Vec: lanes}
+
+			case opVecSelect:
+				mask, x, y := regs[in.a], regs[in.b], regs[in.c]
+				lanes := lanes(in)
+				for l := 0; l < in.width; l++ {
+					if interp.Lane(mask, l).AsInt() != 0 {
+						lanes[l] = interp.Lane(x, l)
+					} else {
+						lanes[l] = interp.Lane(y, l)
+					}
+				}
+				regs[in.dst] = Val{Vec: lanes}
+
+			case opVecCall:
+				argv := gatherInto(fr, in.xargs, false)
+				if cap(fr.vecArgBuf) < len(argv) {
+					fr.vecArgBuf = make([]Val, len(argv))
+				}
+				laneArgs := fr.vecArgBuf[:len(argv)]
+				lanes := lanes(in)
+				for l := 0; l < in.width; l++ {
+					for ai := range argv {
+						laneArgs[ai] = interp.Lane(argv[ai], l)
+					}
+					v, ok, berr := interp.CallBuiltin(in.callee, laneArgs)
+					if !ok || berr != nil {
+						err = fmt.Errorf("vm: bad vcall %s", in.callee)
+						goto fail
 					}
 					lanes[l] = v
 				}
-			}
-			regs[in.dst] = Val{Vec: lanes}
+				cycles += m.mc.VecCallLane * int64(in.width)
+				regs[in.dst] = Val{Vec: lanes}
 
-		case opVecReduce:
-			a := ld(in.a)
-			acc := interp.Lane(a, 0)
-			for l := 1; l < in.width; l++ {
-				v, err := interp.ScalarBin(in.vecOp, in.cls, acc, interp.Lane(a, l), in.unsigned)
-				if err != nil {
-					return Val{}, fmt.Errorf("vm: %v in %s", err, fc.name)
-				}
-				acc = v
+			default: // opUnhandled, opInvalid
+				err = fmt.Errorf("vm: unhandled op %s", in.irOp)
+				goto fail
 			}
-			regs[in.dst] = acc
-
-		case opVecIota:
-			lanes := lanes(in)
-			for l := range lanes {
-				if in.cls.IsFloat() {
-					lanes[l] = interp.FV(float64(l))
-				} else {
-					lanes[l] = interp.IV(int64(l))
-				}
-			}
-			regs[in.dst] = Val{Vec: lanes}
-
-		case opVecSelect:
-			mask, x, y := ld(in.a), ld(in.b), ld(in.c)
-			lanes := lanes(in)
-			for l := 0; l < in.width; l++ {
-				if interp.Lane(mask, l).AsInt() != 0 {
-					lanes[l] = interp.Lane(x, l)
-				} else {
-					lanes[l] = interp.Lane(y, l)
-				}
-			}
-			regs[in.dst] = Val{Vec: lanes}
-
-		case opVecCall:
-			argv := gatherInto(fr, regs, consts, in.xargs, false)
-			if cap(fr.vecArgBuf) < len(argv) {
-				fr.vecArgBuf = make([]Val, len(argv))
-			}
-			laneArgs := fr.vecArgBuf[:len(argv)]
-			lanes := lanes(in)
-			for l := 0; l < in.width; l++ {
-				for ai := range argv {
-					laneArgs[ai] = interp.Lane(argv[ai], l)
-				}
-				v, ok, err := interp.CallBuiltin(in.callee, laneArgs)
-				if !ok || err != nil {
-					return Val{}, fmt.Errorf("vm: bad vcall %s", in.callee)
-				}
-				lanes[l] = v
-			}
-			// Vector math libraries amortize the call across lanes.
-			cycles += m.costs.BuiltinCall * 0.4 * float64(in.width) / 2
-			regs[in.dst] = Val{Vec: lanes}
-
-		default: // opUnhandled, opInvalid
-			return Val{}, fmt.Errorf("vm: unhandled op %s", in.irOp)
 		}
-		pc++
+		if trip {
+			// The tripping step counts as a step but retires nothing,
+			// exactly like the interpreter's pre-retire budget check.
+			if half {
+				executed++
+				cycles += m.costTab[code[pc].costK] + m.pen[fc.idx]
+			}
+			bias++
+			err = fmt.Errorf("vm: step budget exceeded")
+			goto out
+		}
 	}
+fail:
+	// A handler error retires its own instruction but none after it.
+	executed -= int64(stepPre[end] - stepPre[pc+1])
+	cycles -= costPre[end] - costPre[pc+1]
+out:
+	m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
+	return rv, err
+}
+
+// tripPoint finds where a step budget with room for r more steps runs
+// out inside the segment [s, end): the pc t whose dispatch would take the
+// tripping step. half reports that t is a fused pair whose first half
+// still fits.
+func tripPoint(stepPre []int32, s, end int, r int64) (t int, half bool) {
+	t = s
+	for t < end && int64(stepPre[t+1]-stepPre[s]) <= r {
+		t++
+	}
+	return t, int64(stepPre[t]-stepPre[s]) < r
 }
 
 func b2i(b bool) int64 {

@@ -82,7 +82,7 @@ func (m *Machine) ProfileSamples() []profile.Sample {
 			s := profile.Sample{
 				Fn:      fc.name,
 				Op:      opNames[fc.code[pc].op],
-				Cycles:  c.cycles,
+				Cycles:  float64(c.cycles) / 1000,
 				Retired: c.retired,
 			}
 			if ref := fc.pcIR[pc]; ref.a != nil && ref.a.Span.IsValid() {
