@@ -453,6 +453,34 @@ func BenchmarkCompileParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkSpecCompile measures the compile half of the toolchain on
+// the pass-pipeline-heavy corpus: every SPEC-shaped unit of
+// workload.SpecSuite compiled under baseline and OOElala at -j1, plus
+// the bytecode translation. It is the entry point for compile-time CPU
+// profiles:
+//
+//	go test -run '^$' -bench SpecCompile -cpuprofile cpu.out .
+func BenchmarkSpecCompile(b *testing.B) {
+	var units []workload.Program
+	for _, bench := range workload.SpecSuite() {
+		units = append(units, workload.GenerateUnits(bench)...)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range units {
+			for _, ooelala := range []bool{false, true} {
+				c, err := driver.Compile(u.Name, u.Source, driver.Config{
+					OOElala: ooelala, Files: workload.Files(), Jobs: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Program()
+			}
+		}
+	}
+	b.ReportMetric(float64(len(units)), "units")
+}
+
 // BenchmarkRunLeg measures the execution half of the toolchain: the
 // same compiled module run on the tree-walking oracle versus the
 // bytecode vm. Compilation happens once outside the timer — the run leg

@@ -225,7 +225,10 @@ func (p Pred) String() string {
 // operands directly (register values are in SSA form: each Instr defines
 // its result exactly once).
 type Instr struct {
-	ID   int // unique within the function (printing/debug)
+	// ID is unique within the function and below Func.NumIDs: Append
+	// and InsertBefore assign it, and passes index flat per-instruction
+	// tables by it.
+	ID   int
 	Op   Op
 	Cls  Class // result class (Void for stores, branches...)
 	Args []Value
@@ -396,6 +399,12 @@ func (f *Func) Preds() map[*Block][]*Block {
 	}
 	return preds
 }
+
+// NumIDs returns the bound on instruction IDs: every instruction that
+// Append or InsertBefore put into f has a unique ID in [0, NumIDs()).
+// IDs are never reused, so a table indexed by ID also covers
+// instructions a pass has since deleted.
+func (f *Func) NumIDs() int { return f.nextID }
 
 // NumInstrs counts instructions across all blocks.
 func (f *Func) NumInstrs() int {

@@ -69,6 +69,33 @@ func TestVerifyCatchesNilOperand(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesUnnumberedInstr splices struct-literal instructions
+// straight into a block, bypassing Append: the first keeps the zero ID
+// the alloca already holds, the second claims an ID past NumIDs. Flat
+// per-instruction tables in the passes index by ID, so Verify must flag
+// both.
+func TestVerifyCatchesUnnumberedInstr(t *testing.T) {
+	for _, tc := range []struct {
+		id   int
+		want string
+	}{
+		{0, "duplicate instruction ID"},
+		{1000, "ID outside [0, "},
+	} {
+		f, entry, _, _, _ := makeLoopFn()
+		stray := &Instr{ID: tc.id, Op: OpAdd, Cls: I32, Args: []Value{ConstInt(I32, 1), ConstInt(I32, 2)}, blk: entry}
+		entry.Instrs = append([]*Instr{stray}, entry.Instrs...)
+		problems := f.Verify()
+		if len(problems) != 1 || !strings.Contains(problems[0], tc.want) {
+			t.Errorf("ID %d: Verify = %q, want one problem containing %q", tc.id, problems, tc.want)
+		}
+	}
+	f, _, _, _, _ := makeLoopFn()
+	if n, want := f.NumIDs(), f.NumInstrs(); n != want {
+		t.Errorf("NumIDs = %d, want %d (one per appended instruction)", n, want)
+	}
+}
+
 func TestSuccsAndPreds(t *testing.T) {
 	f, entry, header, body, exit := makeLoopFn()
 	if s := entry.Succs(); len(s) != 1 || s[0] != header {

@@ -131,8 +131,8 @@ func (i *Instr) String() string {
 }
 
 // Verify checks structural invariants: every block terminated, operands
-// defined in the same function, branch targets present. It returns the
-// list of problems found.
+// defined in the same function, branch targets present, instruction IDs
+// unique and below NumIDs. It returns the list of problems found.
 func (m *Module) Verify() []string {
 	var problems []string
 	for _, f := range m.Funcs {
@@ -152,10 +152,19 @@ func (f *Func) Verify() []string {
 	for _, p := range f.Params {
 		defined[p] = true
 	}
-	// First pass: all instruction values.
+	// First pass: all instruction values and their IDs.
+	ids := make([]bool, f.nextID)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			defined[in] = true
+			switch {
+			case in.ID < 0 || in.ID >= len(ids):
+				problems = append(problems, fmt.Sprintf("%s: %s has ID outside [0, %d)", f.Name, in.vname(), len(ids)))
+			case ids[in.ID]:
+				problems = append(problems, fmt.Sprintf("%s: duplicate instruction ID %s", f.Name, in.vname()))
+			default:
+				ids[in.ID] = true
+			}
 		}
 	}
 	for _, b := range f.Blocks {

@@ -16,7 +16,7 @@ const (
 	AnalysisDom AnalysisID = iota
 	// AnalysisLoops is the natural-loop forest (ir.FindLoops).
 	AnalysisLoops
-	// AnalysisUses is the value -> using-instructions map (buildUses).
+	// AnalysisUses is the ID-indexed use lists (UseLists).
 	AnalysisUses
 	// AnalysisAA is the alias-analysis chain (aa.Manager), including the
 	// unseq-aa π fact table.
@@ -97,7 +97,7 @@ type AnalysisManager struct {
 	mgr   *aa.Manager
 	dom   *ir.DomTree
 	loops []*ir.Loop
-	uses  map[ir.Value][]*ir.Instr
+	uses  UseLists
 	valid [numAnalyses]bool
 
 	hits, misses [numAnalyses]int64
@@ -176,12 +176,11 @@ func (am *AnalysisManager) Loops() []*ir.Loop {
 	return am.loops
 }
 
-// Uses returns the (cached) value -> using-instructions map. A pass
-// that mutates the function mid-run must call InvalidateUses before
-// re-acquiring it.
-func (am *AnalysisManager) Uses() map[ir.Value][]*ir.Instr {
+// Uses returns the (cached) use lists. A pass that mutates the function
+// mid-run must call InvalidateUses before re-acquiring them.
+func (am *AnalysisManager) Uses() UseLists {
 	if !am.touch(AnalysisUses) {
-		am.uses = buildUses(am.fn)
+		am.uses = buildUseLists(am.fn)
 	}
 	return am.uses
 }

@@ -118,10 +118,12 @@ func (en *memEntry) noteKept(mgr *aa.Manager) {
 // crucially this makes a CANT_ALIAS annotation's address computations the
 // very same IR values as the real accesses, so unseq-aa facts apply to
 // both. Loads are reused when no intervening instruction may write the
-// location; stores forward their value to subsequent loads.
+// location; stores forward their value to subsequent loads. Uses of an
+// eliminated instruction are rewritten at once through use lists.
 func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Session) int {
 	defer mgr.SetPass(mgr.SetPass("earlycse"))
 	removed := 0
+	uses := useRewriter{f: f}
 	avail := map[vnKey]*ir.Instr{} // pure value numbering
 	loads := newMemTable()         // ptr -> load instr providing value
 	stored := newMemTable()        // ptr -> last stored value
@@ -151,8 +153,8 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 			case isPureValueOp(in):
 				key := valueKey(in)
 				if prev, ok := avail[key]; ok {
-					replaceUses(f, in, prev)
-					removeAt(b, i)
+					uses.replace(in, prev)
+					uses.remove(b, i)
 					i--
 					removed++
 					continue
@@ -169,12 +171,12 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					// substituted directly — rewrite the load into the convert
 					// that replays that round-trip instead.
 					if v, exact := canonicalFor(e.val, in.Cls, in.Unsigned); exact {
-						replaceUses(f, in, v)
-						removeAt(b, i)
+						uses.replace(in, v)
+						uses.remove(b, i)
 						i--
 					} else {
 						in.Op = ir.OpConvert
-						in.Args = []ir.Value{e.val}
+						uses.setArgs(in, e.val)
 					}
 					removed++
 					memRemark("StoreForwarded", e)
@@ -183,8 +185,8 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 				if e, ok := loads.get(ptr); ok && e.load.Cls == in.Cls &&
 					(e.load.Unsigned == in.Unsigned || in.Cls == ir.I64 ||
 						in.Cls == ir.Ptr || in.Cls.IsFloat()) {
-					replaceUses(f, in, e.load)
-					removeAt(b, i)
+					uses.replace(in, e.load)
+					uses.remove(b, i)
 					i--
 					removed++
 					memRemark("LoadEliminated", e)
@@ -221,7 +223,7 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 					key = [2]ir.Value{a2, c2}
 				}
 				if seenFacts[key] {
-					removeAt(b, i)
+					uses.remove(b, i)
 					i--
 					removed++
 					continue
@@ -346,17 +348,18 @@ func lessValue(a, b ir.Value) bool {
 // behind, regardless of any aliasing knowledge.
 func instCombine(f *ir.Func) int {
 	combined := 0
+	uses := useRewriter{f: f}
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 			if v := simplify(in); v != nil {
-				replaceUses(f, in, v)
-				removeAt(b, i)
+				uses.replace(in, v)
+				uses.remove(b, i)
 				i--
 				combined++
 			}
 		}
-		combined += removeNoopStores(b)
+		combined += removeNoopStores(b, &uses)
 	}
 	return combined
 }
@@ -364,7 +367,7 @@ func instCombine(f *ir.Func) int {
 // removeNoopStores deletes `store p, v` where v = load p happened earlier
 // in the block with no possible write in between (always sound: the
 // memory state cannot have changed).
-func removeNoopStores(b *ir.Block) int {
+func removeNoopStores(b *ir.Block, uses *useRewriter) int {
 	removed := 0
 	for i := 0; i < len(b.Instrs); i++ {
 		st := b.Instrs[i]
@@ -394,7 +397,7 @@ func removeNoopStores(b *ir.Block) int {
 			}
 		}
 		if clean {
-			removeAt(b, i)
+			uses.remove(b, i)
 			i--
 			removed++
 		}

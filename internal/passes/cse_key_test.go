@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/driver"
@@ -92,6 +93,20 @@ func (p keyProbe) Run(f *ir.Func, _ *passes.AnalysisManager) (passes.Stats, pass
 // that runs earlycse (licm runs it inside) and at the end, and checks
 // the typed key against the string oracle on every instruction seen.
 func TestValueKeyMatchesOracle(t *testing.T) {
+	o := newKeyOracle()
+	for _, u := range oracleCorpus(t) {
+		compileProbed(t, u, keyProbe{t: t, prog: u.Name, o: o}, "earlycse", "licm")
+	}
+	if o.n == 0 {
+		t.Fatal("the probe saw no instructions")
+	}
+	t.Logf("%d instructions, %d distinct keys", o.n, len(o.byKey))
+}
+
+// oracleCorpus is the oracle tests' program set: the golden programs,
+// the Table 4 kernels and the first SPEC-shaped gcc unit.
+func oracleCorpus(t *testing.T) []workload.Program {
+	t.Helper()
 	progs, err := filepath.Glob("../../testdata/fuzz/regressions/*.c")
 	if err != nil {
 		t.Fatal(err)
@@ -106,31 +121,28 @@ func TestValueKeyMatchesOracle(t *testing.T) {
 		units = append(units, workload.Program{Name: filepath.Base(p), Source: string(src)})
 	}
 	units = append(units, workload.PolybenchKernels()...)
-	units = append(units, workload.GenerateUnits(workload.SpecSuite()[0])[0])
+	return append(units, workload.GenerateUnits(workload.SpecSuite()[0])[0])
+}
 
-	o := newKeyOracle()
-	for _, u := range units {
-		probe := keyProbe{t: t, prog: u.Name, o: o}
-		var seq []passes.Pass
-		for _, p := range passes.DefaultPipeline().Passes() {
-			if p.Name() == "earlycse" || p.Name() == "licm" {
-				seq = append(seq, probe)
-			}
-			seq = append(seq, p)
+// compileProbed compiles u under OOElala at -j1 with probe inserted
+// ahead of every default-pipeline pass named in before, and at the end.
+func compileProbed(t *testing.T, u workload.Program, probe passes.Pass, before ...string) {
+	t.Helper()
+	var seq []passes.Pass
+	for _, p := range passes.DefaultPipeline().Passes() {
+		if slices.Contains(before, p.Name()) {
+			seq = append(seq, probe)
 		}
-		opts := passes.DefaultOptions()
-		opts.Pipeline = passes.NewPipeline(append(seq, probe)...)
-		opts.Jobs = 1
-		if _, err := driver.Compile(u.Name, u.Source, driver.Config{
-			OOElala: true, Files: workload.Files(), PassOptions: &opts,
-		}); err != nil {
-			t.Fatalf("%s: %v", u.Name, err)
-		}
+		seq = append(seq, p)
 	}
-	if o.n == 0 {
-		t.Fatal("the probe saw no instructions")
+	opts := passes.DefaultOptions()
+	opts.Pipeline = passes.NewPipeline(append(seq, probe)...)
+	opts.Jobs = 1
+	if _, err := driver.Compile(u.Name, u.Source, driver.Config{
+		OOElala: true, Files: workload.Files(), PassOptions: &opts,
+	}); err != nil {
+		t.Fatalf("%s: %v", u.Name, err)
 	}
-	t.Logf("%d instructions, %d distinct keys", o.n, len(o.byKey))
 }
 
 // TestValueKeyEdgeCases pins each operand equivalence rule on hand-built

@@ -103,3 +103,74 @@ func BenchmarkEarlyCSE(b *testing.B) {
 		})
 	}
 }
+
+// TestUseRewriterTracksNewUsers builds functions whose blocks are not
+// in dominance order, so an instruction is eliminated after some of its
+// users were already rewritten to name it. The use lists are built at
+// the call's first elimination; every later operand rewrite must be
+// recorded, or the late replacement misses a user and leaves it naming
+// a deleted instruction. A deleted user keeps its operands, as it does
+// under a whole-function walk.
+func TestUseRewriterTracksNewUsers(t *testing.T) {
+	t.Run("instcombine", func(t *testing.T) {
+		fn := &ir.Func{Name: "t", Ret: ir.I64}
+		entry, use, def := fn.NewBlock("entry"), fn.NewBlock("use"), fn.NewBlock("def")
+		entry.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: def})
+		// def dominates use but comes after it in fn.Blocks.
+		x := &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{ir.ConstInt(ir.I64, 3), ir.ConstInt(ir.I64, 4)}}
+		y := use.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{x, ir.ConstInt(ir.I64, 0)}})
+		z := use.Append(&ir.Instr{Op: ir.OpMul, Cls: ir.I64, Args: []ir.Value{y, ir.ConstInt(ir.I64, 2)}})
+		use.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{z}})
+		def.Append(x)
+		def.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: use})
+
+		// y folds to x (z now names x), then x folds to 7.
+		if n := instCombine(fn); n != 2 {
+			t.Fatalf("combined %d, want 2", n)
+		}
+		if c, ok := z.Args[0].(*ir.Const); !ok || c.I != 7 {
+			t.Errorf("z's operand is %v, want the constant 7", z.Args[0])
+		}
+		if y.Args[0] != x {
+			t.Errorf("the deleted y was rewritten to %v", y.Args[0])
+		}
+		if problems := fn.Verify(); len(problems) != 0 {
+			t.Errorf("verify: %v", problems)
+		}
+	})
+	t.Run("earlycse-convert", func(t *testing.T) {
+		fn := &ir.Func{Name: "t", Ret: ir.I32}
+		p := &ir.Param{Name: "p", Cls: ir.I32, Idx: 0}
+		fn.Params = []*ir.Param{p}
+		entry, use, def := fn.NewBlock("entry"), fn.NewBlock("use"), fn.NewBlock("def")
+		slot := entry.Append(&ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, Name: "s", AllocSz: 4})
+		// A first elimination, so the lists exist before the convert.
+		entry.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I32, Args: []ir.Value{p, ir.ConstInt(ir.I32, 2)}})
+		entry.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I32, Args: []ir.Value{p, ir.ConstInt(ir.I32, 2)}})
+		entry.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: def})
+		v := &ir.Instr{Op: ir.OpAdd, Cls: ir.I32, Args: []ir.Value{p, ir.ConstInt(ir.I32, 1)}}
+		dup := &ir.Instr{Op: ir.OpAdd, Cls: ir.I32, Args: []ir.Value{p, ir.ConstInt(ir.I32, 1)}}
+		st := use.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, dup}})
+		// A signed value reloaded unsigned: forwarding turns the load
+		// into a convert of dup.
+		ld := use.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I32, Unsigned: true, Args: []ir.Value{slot}})
+		use.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{ld}})
+		def.Append(v)
+		def.Append(dup)
+		def.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: use})
+		mod := &ir.Module{Funcs: []*ir.Func{fn}}
+
+		if n := earlyCSE(mod, fn, aa.NewManager(fn, false), nil); n != 3 {
+			t.Fatalf("removed %d, want 3", n)
+		}
+		if ld.Op != ir.OpConvert || ld.Args[0] != v {
+			t.Errorf("load became %s %v, want a convert of v", ld.Op, ld.Args)
+		}
+		if st.Args[1] != v {
+			t.Errorf("store value is %v, want v", st.Args[1])
+		}
+		if problems := fn.Verify(); len(problems) != 0 {
+			t.Errorf("verify: %v", problems)
+		}
+	})
+}

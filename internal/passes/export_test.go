@@ -10,3 +10,11 @@ var ValueKey = valueKey
 // Wide reports whether the key spilled operands past the third into its
 // string fallback.
 func (k vnKey) Wide() bool { return k.wide != "" }
+
+// Hooks for the use-list and DCE oracle tests (uses_test.go).
+
+var (
+	BuildUseLists = buildUseLists
+	DCE           = dce
+	IsPureValueOp = isPureValueOp
+)

@@ -15,19 +15,21 @@ import (
 // sanitizer needs real addresses); mustnotalias intrinsics over a
 // promoted slot become meaningless and are deleted.
 //
-// The use map comes from the analysis manager and is rebuilt once per
+// The use lists come from the analysis manager and are rebuilt once per
 // round, not once per promotion: every eligible alloca in a round is
-// promoted against the same map, and the dead instructions of the whole
-// round are swept from the blocks in a single filter pass. Staleness
-// within a round is benign — a promotion retires its own
-// alloca/store/loads (which no other alloca's use list references,
-// since a load or store of slot C appears only in uses[C] and uses[its
-// value operand]) plus shared mustnotalias intrinsics (retiring an
-// already-retired instruction is a no-op), and any alloca whose address
-// flowed into a retired instruction was already rejected by the escape
-// check (the use list still carries the instruction), so it just
-// retries next round against a fresh map. The final round makes no
-// changes, leaving the cached map exact — which is why the pass can
+// promoted against the same lists, and the dead instructions of the
+// whole round (an ID-indexed set) are swept from the blocks in a single
+// filter pass. Staleness within a round is benign — a promotion retires
+// its own alloca/store/loads (which no other alloca's use list
+// references, since a load or store of slot C appears only in C's list
+// and its value operand's) plus shared mustnotalias intrinsics
+// (retiring an already-retired instruction is a no-op), and any alloca
+// whose address flowed into a retired instruction was already rejected
+// by the escape check (the use list still carries the instruction), so
+// it just retries next round against fresh lists. Because the lists go
+// stale within a round, a retired load's uses are replaced by walking
+// the whole function, not through the lists. The final round makes no
+// changes, leaving the cached lists exact — which is why the pass can
 // preserve AnalysisUses.
 func mem2reg(f *ir.Func, am *AnalysisManager) int {
 	promoted := 0
@@ -35,19 +37,21 @@ func mem2reg(f *ir.Func, am *AnalysisManager) int {
 	if entry == nil {
 		return 0
 	}
+	del := make([]bool, f.NumIDs())
 	for {
 		uses := am.Uses()
-		del := map[*ir.Instr]bool{}
+		clear(del)
+		before := promoted
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op != ir.OpAlloca || in.AllocSz > 8 || del[in] {
+				if in.Op != ir.OpAlloca || in.AllocSz > 8 || del[in.ID] {
 					continue
 				}
 				var store *ir.Instr
 				var loads []*ir.Instr
 				var deadIntrinsics []*ir.Instr
 				ok := true
-				for _, u := range uses[in] {
+				for _, u := range uses.Of(in) {
 					switch {
 					case u.Op == ir.OpStore && u.Args[0] == in && u.Args[1] != in:
 						if store != nil {
@@ -84,8 +88,8 @@ func mem2reg(f *ir.Func, am *AnalysisManager) int {
 					continue
 				}
 				v := store.Args[1]
-				del[in] = true
-				del[store] = true
+				del[in.ID] = true
+				del[store.ID] = true
 				for _, ld := range loads {
 					// The slot truncates the stored value to the load width
 					// and the load re-extends it per its signedness; when v's
@@ -93,25 +97,25 @@ func mem2reg(f *ir.Func, am *AnalysisManager) int {
 					// that replays that round-trip instead of vanishing.
 					if cv, exact := canonicalFor(v, ld.Cls, ld.Unsigned); exact {
 						replaceUses(f, ld, cv)
-						del[ld] = true
+						del[ld.ID] = true
 					} else {
 						ld.Op = ir.OpConvert
 						ld.Args = []ir.Value{v}
 					}
 				}
 				for _, mi := range deadIntrinsics {
-					del[mi] = true
+					del[mi.ID] = true
 				}
 				promoted++
 			}
 		}
-		if len(del) == 0 {
+		if promoted == before {
 			break
 		}
 		for _, bb := range f.Blocks {
 			var out []*ir.Instr
 			for _, x := range bb.Instrs {
-				if !del[x] {
+				if !del[x.ID] {
 					out = append(out, x)
 				}
 			}

@@ -325,22 +325,8 @@ func emitRemark(tel *telemetry.Session, mgr *aa.Manager, pass, kind, fn, loc str
 	})
 }
 
-// buildUses computes value -> using instructions.
-func buildUses(f *ir.Func) map[ir.Value][]*ir.Instr {
-	uses := make(map[ir.Value][]*ir.Instr)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if a != nil {
-					uses[a] = append(uses[a], in)
-				}
-			}
-		}
-	}
-	return uses
-}
-
-// replaceUses rewrites every use of old to new.
+// replaceUses rewrites every use of old to new by walking the whole
+// function (see useRewriter for the per-call use-list form).
 func replaceUses(f *ir.Func, old, new ir.Value) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -235,17 +235,26 @@ func setBlock(in *ir.Instr, b *ir.Block) {
 // effects. mustnotalias intrinsics do not keep their operands alive (the
 // paper wraps them in metadata for exactly this reason); an intrinsic
 // whose operand would otherwise be dead is deleted along with it.
+//
+// Use counts and the store-only flags live in slices indexed by
+// instruction ID (see ir.Func.NumIDs), allocated once per call and
+// cleared each fixpoint round; dce creates no instructions, so the
+// bound holds for the whole call. An operand deleted from the function
+// (a mustnotalias may still name one) keeps its ID, so it indexes the
+// tables too, with a zero count.
 func dce(f *ir.Func) int {
 	removed := 0
+	uses := make([]int32, f.NumIDs())
+	// storeOnly flags allocas used exclusively as store targets: both
+	// the stores and the slot are dead.
+	storeOnly := make([]bool, f.NumIDs())
 	for {
-		uses := map[ir.Value]int{}
-		// storeOnly tracks allocas used exclusively as store targets:
-		// both the stores and the slot are dead.
-		storeOnly := map[ir.Value]bool{}
+		clear(uses)
+		clear(storeOnly)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpAlloca {
-					storeOnly[in] = true
+					storeOnly[in.ID] = true
 				}
 			}
 		}
@@ -255,10 +264,10 @@ func dce(f *ir.Func) int {
 					continue // metadata: not a real use
 				}
 				for ai, a := range in.Args {
-					uses[a]++
-					if _, isAl := storeOnly[a]; isAl {
+					if x, ok := a.(*ir.Instr); ok {
+						uses[x.ID]++
 						if !(in.Op == ir.OpStore && ai == 0) {
-							delete(storeOnly, a)
+							storeOnly[x.ID] = false
 						}
 					}
 				}
@@ -268,27 +277,30 @@ func dce(f *ir.Func) int {
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
 				in := b.Instrs[i]
+				unused := uses[in.ID] == 0
 				dead := false
 				switch {
-				case isPureValueOp(in) && uses[in] == 0:
+				case isPureValueOp(in) && unused:
 					dead = true
-				case in.Op == ir.OpLoad && !in.Volatile && uses[in] == 0:
+				case in.Op == ir.OpLoad && !in.Volatile && unused:
 					dead = true
-				case in.Op == ir.OpAlloca && uses[in] == 0:
+				case in.Op == ir.OpAlloca && unused:
 					dead = true
-				case in.Op == ir.OpStore && !in.Volatile && storeOnly[in.Args[0]]:
-					dead = true
-				case in.Op == ir.OpAlloca && storeOnly[in] && uses[in] > 0:
-					// Deleted together with its stores on the next round.
-				case in.Op == ir.OpVecLoad && uses[in] == 0:
+				case in.Op == ir.OpStore && !in.Volatile:
+					p, ok := in.Args[0].(*ir.Instr)
+					dead = ok && storeOnly[p.ID]
+				case in.Op == ir.OpAlloca:
+					// A store-only slot is deleted together with its
+					// stores on the next round.
+				case in.Op == ir.OpVecLoad && unused:
 					dead = true
 				case in.Op == ir.OpMustNotAlias:
 					// Remove intrinsics whose operands are gone from the
 					// computation (only referenced by intrinsics).
 					a0, ok0 := in.Args[0].(*ir.Instr)
 					a1, ok1 := in.Args[1].(*ir.Instr)
-					if (ok0 && uses[a0] == 0 && !reachableInstr(f, a0)) ||
-						(ok1 && uses[a1] == 0 && !reachableInstr(f, a1)) {
+					if (ok0 && uses[a0.ID] == 0 && !reachableInstr(f, a0)) ||
+						(ok1 && uses[a1.ID] == 0 && !reachableInstr(f, a1)) {
 						dead = true
 					}
 				}

@@ -8,6 +8,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -30,13 +31,21 @@ type Profile struct {
 	Samples []Sample
 }
 
+// Both engines count cycles in integer milli-cycles, so every sample's
+// Cycles is an exact milli-cycle count over 1000. The aggregates below
+// sum those integers and divide once: a float64 sum would re-acquire
+// rounding in the low bits, and in an order-dependent way.
+
+// milli returns a sample's cycles in milli-cycles.
+func milli(cycles float64) int64 { return int64(math.Round(cycles * 1000)) }
+
 // TotalCycles sums the attributed cycles over all samples.
 func (p *Profile) TotalCycles() float64 {
-	t := 0.0
+	var t int64
 	for i := range p.Samples {
-		t += p.Samples[i].Cycles
+		t += milli(p.Samples[i].Cycles)
 	}
-	return t
+	return float64(t) / 1000
 }
 
 // TotalRetired sums the retire counts over all samples.
@@ -68,23 +77,24 @@ type FlatLine struct {
 // Flatten aggregates per (function, file, line), hottest first; ties
 // break on (fn, file, line) so the order is deterministic.
 func Flatten(p *Profile) []FlatLine {
-	agg := make(map[lineKey]*FlatLine)
-	var order []lineKey
+	idx := make(map[lineKey]int)
+	var out []FlatLine
+	var millis []int64
 	for i := range p.Samples {
 		s := &p.Samples[i]
 		k := lineKey{s.Fn, s.File, s.Line}
-		fl := agg[k]
-		if fl == nil {
-			fl = &FlatLine{Fn: s.Fn, File: s.File, Line: s.Line}
-			agg[k] = fl
-			order = append(order, k)
+		j, ok := idx[k]
+		if !ok {
+			j = len(out)
+			idx[k] = j
+			out = append(out, FlatLine{Fn: s.Fn, File: s.File, Line: s.Line})
+			millis = append(millis, 0)
 		}
-		fl.Cycles += s.Cycles
-		fl.Retired += s.Retired
+		millis[j] += milli(s.Cycles)
+		out[j].Retired += s.Retired
 	}
-	out := make([]FlatLine, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
+	for j := range out {
+		out[j].Cycles = float64(millis[j]) / 1000
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cycles != out[j].Cycles {
@@ -103,9 +113,13 @@ func Flatten(p *Profile) []FlatLine {
 
 // ByFunction aggregates attributed cycles per function.
 func ByFunction(p *Profile) map[string]float64 {
-	out := make(map[string]float64)
+	millis := make(map[string]int64)
 	for i := range p.Samples {
-		out[p.Samples[i].Fn] += p.Samples[i].Cycles
+		millis[p.Samples[i].Fn] += milli(p.Samples[i].Cycles)
+	}
+	out := make(map[string]float64, len(millis))
+	for fn, m := range millis {
+		out[fn] = float64(m) / 1000
 	}
 	return out
 }

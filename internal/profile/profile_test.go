@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,51 @@ func TestFlattenAggregatesAndOrders(t *testing.T) {
 	}
 	if got := p.TotalRetired(); got != 67 {
 		t.Errorf("TotalRetired = %v", got)
+	}
+}
+
+// TestAggregatesExactInMilliCycles feeds samples with non-dyadic cycle
+// counts (exact milli-cycles over 1000, as the engines report them) and
+// checks that every aggregate is an integer milli-cycle count over 1000,
+// equal to the integer sum. A float64 running sum fails this on the
+// same data (0.1 + 0.1 + 0.1 is 0.30000000000000004).
+func TestAggregatesExactInMilliCycles(t *testing.T) {
+	p := &Profile{Unit: "u.c", Engine: "vm"}
+	wantFn := map[string]int64{}
+	var wantTotal int64
+	naive := map[string]float64{}
+	for i := 0; i < 300; i++ {
+		m := []int64{100, 1100, 1300, 7, 2650}[i%5]
+		fn := []string{"f", "g", "h"}[i%3]
+		p.Samples = append(p.Samples, Sample{Fn: fn, File: "u.c", Line: 1 + i%7, Cycles: float64(m) / 1000, Retired: 1})
+		wantFn[fn] += m
+		wantTotal += m
+		naive[fn] += float64(m) / 1000
+	}
+	exact := func(what string, v float64, want int64) {
+		t.Helper()
+		if m := math.Round(v * 1000); v != m/1000 || int64(m) != want {
+			t.Errorf("%s = %v, want %d milli-cycles / 1000 = %v", what, v, want, float64(want)/1000)
+		}
+	}
+	inexact := 0
+	for fn, v := range ByFunction(p) {
+		exact("ByFunction["+fn+"]", v, wantFn[fn])
+		if naive[fn] != v {
+			inexact++
+		}
+	}
+	if inexact == 0 {
+		t.Fatal("test data too easy: a float64 sum is exact on it too")
+	}
+	exact("TotalCycles", p.TotalCycles(), wantTotal)
+	var flatSum int64
+	for _, fl := range Flatten(p) {
+		exact("Flatten "+fl.Fn, fl.Cycles, int64(math.Round(fl.Cycles*1000)))
+		flatSum += int64(math.Round(fl.Cycles * 1000))
+	}
+	if flatSum != wantTotal {
+		t.Errorf("Flatten lines sum to %d milli-cycles, want %d", flatSum, wantTotal)
 	}
 }
 
