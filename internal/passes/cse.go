@@ -3,6 +3,7 @@ package passes
 import (
 	"encoding/binary"
 	"math"
+	"sync"
 
 	"repro/internal/aa"
 	"repro/internal/ir"
@@ -34,39 +35,92 @@ type memEntry struct {
 // those queries in a deterministic order — a plain map's random range
 // order would make the -aa-audit artifact differ run to run. Entries are
 // held by value and the table is reset, not reallocated, per block.
+//
+// The live entries are indexed by pointer identity. An instruction
+// pointer is looked up by ID in byID, whose slots count only under the
+// current block's stamp, so a reset is an increment; any other pointer
+// (a global, a parameter) goes through byPtr.
 type memTable struct {
 	entries []memEntry
-	byPtr   map[ir.Value]int // live entries only: ptr -> index in entries
+	byID    []memSlot
+	stamp   uint32
+	byPtr   map[ir.Value]int32
 }
 
-func newMemTable() *memTable {
-	return &memTable{byPtr: map[ir.Value]int{}}
+// memSlot holds the entry index of the instruction with that ID.
+type memSlot struct {
+	stamp uint32
+	i     int32
 }
 
+func newMemTable() memTable {
+	return memTable{byPtr: map[ir.Value]int32{}}
+}
+
+// start readies the table for a call on f; reset must follow before
+// the first put.
+func (t *memTable) start(f *ir.Func) {
+	if n := f.NumIDs(); len(t.byID) < n {
+		t.byID = make([]memSlot, n)
+	}
+}
+
+// reset empties the table for a new block.
 func (t *memTable) reset() {
+	for _, en := range t.entries {
+		if _, isInstr := en.ptr.(*ir.Instr); !isInstr && !en.dead {
+			delete(t.byPtr, en.ptr)
+		}
+	}
 	t.entries = t.entries[:0]
-	clear(t.byPtr)
+	t.stamp++
+	if t.stamp == 0 {
+		// Wrapped: a slot from 2^32 blocks ago would read as live.
+		clear(t.byID)
+		t.stamp = 1
+	}
+}
+
+// index returns the index of p's live entry.
+func (t *memTable) index(p ir.Value) (int, bool) {
+	if x, ok := p.(*ir.Instr); ok {
+		s := t.byID[x.ID]
+		return int(s.i), s.stamp == t.stamp
+	}
+	i, ok := t.byPtr[p]
+	return int(i), ok
 }
 
 func (t *memTable) get(p ir.Value) (availMem, bool) {
-	if i, ok := t.byPtr[p]; ok {
+	if i, ok := t.index(p); ok {
 		return t.entries[i].e, true
 	}
 	return availMem{}, false
 }
 
 func (t *memTable) put(p ir.Value, e availMem) {
-	if i, ok := t.byPtr[p]; ok {
+	if i, ok := t.index(p); ok {
 		t.entries[i].e = e
 		return
 	}
-	t.byPtr[p] = len(t.entries)
+	i := int32(len(t.entries))
+	if x, ok := p.(*ir.Instr); ok {
+		t.byID[x.ID] = memSlot{stamp: t.stamp, i: i}
+	} else {
+		t.byPtr[p] = i
+	}
 	t.entries = append(t.entries, memEntry{ptr: p, e: e})
 }
 
 func (t *memTable) del(p ir.Value) {
-	if i, ok := t.byPtr[p]; ok {
-		t.entries[i].dead = true
+	i, ok := t.index(p)
+	if !ok {
+		return
+	}
+	t.entries[i].dead = true
+	if x, ok := p.(*ir.Instr); ok {
+		t.byID[x.ID].stamp = 0 // a live stamp is never 0
+	} else {
 		delete(t.byPtr, p)
 	}
 }
@@ -121,15 +175,25 @@ func (en *memEntry) noteKept(mgr *aa.Manager) {
 // location; stores forward their value to subsequent loads. Uses of an
 // eliminated instruction are rewritten at once through use lists.
 func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Session) int {
+	s := cseScratchPool.Get().(*cseScratch)
+	removed := s.earlyCSE(mod, f, mgr, tel)
+	cseScratchPool.Put(s)
+	return removed
+}
+
+// earlyCSE runs the pass on f with s's tables.
+func (s *cseScratch) earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Session) int {
 	defer mgr.SetPass(mgr.SetPass("earlycse"))
+	s.vn.reset()
 	removed := 0
-	uses := useRewriter{f: f}
-	avail := map[vnKey]*ir.Instr{} // pure value numbering
-	loads := newMemTable()         // ptr -> load instr providing value
-	stored := newMemTable()        // ptr -> last stored value
-	seenFacts := map[[2]ir.Value]bool{}
+	uses := useRewriter{f: f, links: s.links[:0]}
+	loads := &s.loads   // ptr -> load instr providing value
+	stored := &s.stored // ptr -> last stored value
+	loads.start(f)
+	stored.start(f)
+	seenFacts := s.seenFacts
 	for _, b := range f.Blocks {
-		clear(avail)
+		s.avail.next()
 		loads.reset()
 		stored.reset()
 		clear(seenFacts)
@@ -151,15 +215,14 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 			in := b.Instrs[i]
 			switch {
 			case isPureValueOp(in):
-				key := valueKey(in)
-				if prev, ok := avail[key]; ok {
+				key := s.vn.key(in)
+				if prev, ok := s.avail.lookupOrInsert(&key, key.hash(), in); ok {
 					uses.replace(in, prev)
 					uses.remove(b, i)
 					i--
 					removed++
 					continue
 				}
-				avail[key] = in
 
 			case in.Op == ir.OpLoad && !in.Volatile:
 				ptr := in.Args[0]
@@ -235,42 +298,219 @@ func earlyCSE(mod *ir.Module, f *ir.Func, mgr *aa.Manager, tel *telemetry.Sessio
 			}
 		}
 	}
+	s.links = uses.links[:0]
 	return removed
 }
 
+// cseScratch is earlycse's working state. It is pooled rather than
+// built per call because earlycse runs once per function in the
+// pipeline and again inside every licm, and regrowing the tables from
+// empty on each call would allocate more than the rest of the pass. A
+// call takes a scratch, resets what the previous call left behind, and
+// returns it; a call that panics simply drops it. The pool hands each
+// concurrent worker a scratch of its own.
+type cseScratch struct {
+	vn            valueNumbers
+	avail         stampTable[vnKey, *ir.Instr] // pure value numbering, stamped per block
+	loads, stored memTable
+	seenFacts     map[[2]ir.Value]bool
+	links         []useLink // the use rewriter's overflow chains
+}
+
+var cseScratchPool = sync.Pool{New: func() any { return newCSEScratch() }}
+
+func newCSEScratch() *cseScratch {
+	return &cseScratch{
+		vn:        newValueNumbers(),
+		loads:     newMemTable(),
+		stored:    newMemTable(),
+		seenFacts: map[[2]ir.Value]bool{},
+	}
+}
+
+// valueNumbers gives earlycse's operands dense int32 value numbers for
+// one call. An instruction's number is its ID. Every other operand gets
+// a negative number, interned by its operandKey in a table stamped per
+// call, so two operands get one number exactly when their operandKeys
+// are equal. Operand tails past the third are interned to a number of
+// their own. Numbers are meaningful only within the call that made them.
+type valueNumbers struct {
+	interned stampTable[operandKey, int32]
+	wides    map[string]int32 // operand tail encoding -> number from 1
+	buf      []byte
+}
+
+func newValueNumbers() valueNumbers {
+	vn := valueNumbers{wides: map[string]int32{}}
+	vn.reset()
+	return vn
+}
+
+// reset forgets every number. Operands are interned by content, never
+// by pointer, so a number left from an earlier call would not be wrong;
+// the reset keeps the table to one function's operands.
+func (vn *valueNumbers) reset() {
+	vn.interned.next()
+	clear(vn.wides)
+}
+
+// of returns a's value number.
+func (vn *valueNumbers) of(a ir.Value) int32 {
+	if x, ok := a.(*ir.Instr); ok {
+		return int32(x.ID)
+	}
+	k := operandKeyOf(a)
+	n, _ := vn.interned.lookupOrInsert(&k, k.hash(), -1-int32(vn.interned.n))
+	return n
+}
+
 // vnKey is the value-numbering key of a pure instruction: two
-// instructions with equal keys compute the same value. It is comparable,
-// so building and looking one up allocates nothing. Operands past the
-// third (no pure op has them today) are encoded into wide.
+// instructions with equal keys compute the same value. It holds only
+// integers, so it hashes without touching a string and building one
+// allocates nothing. Operands past the third (no pure op has them today)
+// are interned together into wide, which is 0 when there are none.
 type vnKey struct {
 	op, vecOp  ir.Op
 	cls        ir.Class
 	pred       ir.Pred
 	scale, off int
 	width      int
+	args       [3]int32
+	wide       int32
+	nargs      int32
 	unsigned   bool
-	nargs      int
-	args       [3]operandKey
-	wide       string
 }
 
-// valueKey builds the value-numbering key of a pure instruction.
-func valueKey(in *ir.Instr) vnKey {
+// key builds the value-numbering key of a pure instruction.
+func (vn *valueNumbers) key(in *ir.Instr) vnKey {
 	k := vnKey{
 		op: in.Op, vecOp: in.VecOp, cls: in.Cls, pred: in.Pred,
 		scale: in.Scale, off: in.Off, width: in.Width,
-		unsigned: in.Unsigned, nargs: len(in.Args),
+		unsigned: in.Unsigned, nargs: int32(len(in.Args)),
 	}
-	var wide []byte
 	for i, a := range in.Args {
-		if i < len(k.args) {
-			k.args[i] = operandKeyOf(a)
-		} else {
-			wide = operandKeyOf(a).appendTo(wide)
+		if i == len(k.args) {
+			k.wide = vn.wideOf(in.Args[i:])
+			break
+		}
+		k.args[i] = vn.of(a)
+	}
+	return k
+}
+
+// wideOf interns the value numbers of an operand tail.
+func (vn *valueNumbers) wideOf(tail []ir.Value) int32 {
+	b := vn.buf[:0]
+	for _, a := range tail {
+		b = binary.LittleEndian.AppendUint32(b, uint32(vn.of(a)))
+	}
+	vn.buf = b
+	n, ok := vn.wides[string(b)]
+	if !ok {
+		n = int32(len(vn.wides)) + 1
+		vn.wides[string(b)] = n
+	}
+	return n
+}
+
+// hash mixes every field of k; equal keys hash equally.
+func (k *vnKey) hash() uint32 {
+	h := uint64(k.op) ^ uint64(k.vecOp)<<16 ^ uint64(k.cls)<<32 ^ uint64(k.pred)<<48
+	h = mixHash(h, uint64(k.scale))
+	h = mixHash(h, uint64(k.off))
+	h = mixHash(h, uint64(k.width)^uint64(k.nargs)<<32)
+	h = mixHash(h, uint64(uint32(k.args[0]))|uint64(uint32(k.args[1]))<<32)
+	h = mixHash(h, uint64(uint32(k.args[2]))|uint64(uint32(k.wide))<<32)
+	if k.unsigned {
+		h = mixHash(h, 1)
+	}
+	return uint32(h ^ h>>32)
+}
+
+// hash mixes k's kind, number and name (FNV-1a over its bytes).
+func (k *operandKey) hash() uint32 {
+	h := mixHash(uint64(k.kind), uint64(k.n))
+	if k.name != "" {
+		name := uint64(14695981039346656037)
+		for i := 0; i < len(k.name); i++ {
+			name = (name ^ uint64(k.name[i])) * 1099511628211
+		}
+		h = mixHash(h, name)
+	}
+	return uint32(h ^ h>>32)
+}
+
+func mixHash(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// stampTable is an insert-only hash table, open-addressed with linear
+// probing. A slot is live only while its stamp equals the table's, so
+// next empties the table with one increment instead of a clear of a
+// table grown to the largest block or function seen; slots of earlier
+// stamps are never read, only overwritten. next must run before the
+// first insert.
+type stampTable[K comparable, V any] struct {
+	slots []stampSlot[K, V] // power-of-two length, at most half live
+	stamp uint32
+	n     int // live slots
+}
+
+type stampSlot[K comparable, V any] struct {
+	key   K
+	val   V
+	stamp uint32
+	hash  uint32
+}
+
+// next empties the table.
+func (t *stampTable[K, V]) next() {
+	t.stamp++
+	t.n = 0
+	if t.stamp == 0 {
+		// Wrapped: a slot from 2^32 stamps ago would read as live.
+		clear(t.slots)
+		t.stamp = 1
+	}
+}
+
+// lookupOrInsert returns the value live under k and true, or makes v
+// live under k and returns v and false. h is k's hash.
+func (t *stampTable[K, V]) lookupOrInsert(k *K, h uint32, v V) (V, bool) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.stamp != t.stamp {
+			*s = stampSlot[K, V]{key: *k, val: v, stamp: t.stamp, hash: h}
+			t.n++
+			return v, false
+		}
+		if s.hash == h && s.key == *k {
+			return s.val, true
 		}
 	}
-	k.wide = string(wide)
-	return k
+}
+
+// grow doubles the table, carrying over the live slots.
+func (t *stampTable[K, V]) grow() {
+	old := t.slots
+	t.slots = make([]stampSlot[K, V], max(64, 2*len(old)))
+	mask := uint32(len(t.slots) - 1)
+	for j := range old {
+		s := &old[j]
+		if s.stamp != t.stamp {
+			continue
+		}
+		i := s.hash & mask
+		for t.slots[i].stamp == t.stamp {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = *s
+	}
 }
 
 // operandKind tells the operand namespaces apart, so a global and a
@@ -319,13 +559,6 @@ func operandKeyOf(a ir.Value) operandKey {
 		return operandKey{kind: opndInstr, n: int64(x.ID)}
 	}
 	return operandKey{}
-}
-
-func (k operandKey) appendTo(b []byte) []byte {
-	b = append(b, byte(k.kind))
-	b = binary.AppendVarint(b, k.n)
-	b = binary.AppendUvarint(b, uint64(len(k.name)))
-	return append(b, k.name...)
 }
 
 // lessValue is an arbitrary-but-stable order on values for fact

@@ -36,14 +36,15 @@ type Profile struct {
 // sum those integers and divide once: a float64 sum would re-acquire
 // rounding in the low bits, and in an order-dependent way.
 
-// milli returns a sample's cycles in milli-cycles.
-func milli(cycles float64) int64 { return int64(math.Round(cycles * 1000)) }
+// Milli returns a cycle count in milli-cycles: exact for any count
+// either engine reports, a sample's or a whole run's.
+func Milli(cycles float64) int64 { return int64(math.Round(cycles * 1000)) }
 
 // TotalCycles sums the attributed cycles over all samples.
 func (p *Profile) TotalCycles() float64 {
 	var t int64
 	for i := range p.Samples {
-		t += milli(p.Samples[i].Cycles)
+		t += Milli(p.Samples[i].Cycles)
 	}
 	return float64(t) / 1000
 }
@@ -90,7 +91,7 @@ func Flatten(p *Profile) []FlatLine {
 			out = append(out, FlatLine{Fn: s.Fn, File: s.File, Line: s.Line})
 			millis = append(millis, 0)
 		}
-		millis[j] += milli(s.Cycles)
+		millis[j] += Milli(s.Cycles)
 		out[j].Retired += s.Retired
 	}
 	for j := range out {
@@ -115,7 +116,7 @@ func Flatten(p *Profile) []FlatLine {
 func ByFunction(p *Profile) map[string]float64 {
 	millis := make(map[string]int64)
 	for i := range p.Samples {
-		millis[p.Samples[i].Fn] += milli(p.Samples[i].Cycles)
+		millis[p.Samples[i].Fn] += Milli(p.Samples[i].Cycles)
 	}
 	out := make(map[string]float64, len(millis))
 	for fn, m := range millis {

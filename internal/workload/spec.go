@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
+	"repro/internal/profile"
 	"repro/internal/telemetry"
 )
 
@@ -85,9 +86,13 @@ func MeasureTable6(b SpecBenchmark) (Table6Row, error) {
 }
 
 // MeasureTable6With is MeasureTable6 with telemetry attached to the
-// OOElala-side compilations and runs (the baseline is untracked).
+// OOElala-side compilations and runs (the baseline is untracked). Each
+// run's cycles are a whole number of milli-cycles, so the sums are kept
+// in integer milli-cycles and divided once: a float64 sum would pick up
+// rounding error in the low bits.
 func MeasureTable6With(b SpecBenchmark, tel *telemetry.Session) (Table6Row, error) {
 	row := Table6Row{Bench: b, ResultMatch: true}
+	var milliBase, milliOOE int64
 	for _, u := range GenerateUnits(b) {
 		base, err := driver.Compile(u.Name, u.Source, driver.Config{OOElala: false})
 		if err != nil {
@@ -109,9 +114,10 @@ func MeasureTable6With(b SpecBenchmark, tel *telemetry.Session) (Table6Row, erro
 			row.ResultMatch = false
 			return row, fmt.Errorf("%s: MISCOMPILE baseline=%d ooelala=%d", u.Name, rB, rO)
 		}
-		row.CyclesBase += cB
-		row.CyclesOOE += cO
+		milliBase += profile.Milli(cB)
+		milliOOE += profile.Milli(cO)
 	}
+	row.CyclesBase, row.CyclesOOE = float64(milliBase)/1000, float64(milliOOE)/1000
 	return row, nil
 }
 

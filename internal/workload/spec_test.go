@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/driver"
+	"repro/internal/profile"
 )
 
 // driverSpeedup adapts driver.Speedup for the unit tests here.
@@ -76,6 +77,11 @@ func TestSpecTable6Shape(t *testing.T) {
 		row, err := MeasureTable6(b)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, c := range []float64{row.CyclesBase, row.CyclesOOE} {
+			if exact := float64(profile.Milli(c)) / 1000; c != exact {
+				t.Errorf("%s: cycles %v are not a whole number of milli-cycles (%v): summed in floating point", b.Name, c, exact)
+			}
 		}
 		d := row.DeltaPct()
 		deltas[b.Name] = d
