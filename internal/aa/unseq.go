@@ -1,7 +1,10 @@
 package aa
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/ir"
 )
@@ -99,28 +102,68 @@ func (u *UnseqAA) LastMeta() int { return u.lastMeta }
 func (u *UnseqAA) NumFacts() int { return len(u.pairs) }
 
 func normPair(a, b ir.Value) [2]ir.Value {
-	if stableKey(a) > stableKey(b) {
+	if compareValues(a, b) > 0 {
 		return [2]ir.Value{b, a}
 	}
 	return [2]ir.Value{a, b}
 }
 
-// stableKey gives every value a total order so pair normalization is
-// symmetric regardless of query direction.
-func stableKey(v ir.Value) string {
-	switch x := v.(type) {
-	case *ir.Instr:
-		return fmt.Sprintf("i%09d", x.ID)
-	case *ir.Param:
-		return fmt.Sprintf("p%04d", x.Idx)
-	case *ir.Global:
-		return "g" + x.Name
-	case *ir.FuncRef:
-		return "f" + x.Name
-	case *ir.Const:
-		return fmt.Sprintf("c%d|%g", x.I, x.F)
+// compareValues is a total order on values, so pair normalization is
+// symmetric regardless of query direction: by kind (constants, function
+// references, globals, instructions, parameters; anything else sorts
+// first), then by value, name, ID or index. It is the order of the
+// string keys "c<int>|<float>", "f<name>", "g<name>", "i<ID, 9
+// digits>", "p<index, 4 digits>" and "?", compared without building
+// them except for two constants.
+func compareValues(a, b ir.Value) int {
+	if ka, kb := valueKind(a), valueKind(b); ka != kb {
+		return cmp.Compare(ka, kb)
 	}
-	return "?"
+	switch x := a.(type) {
+	case *ir.Instr:
+		return comparePadded(x.ID, b.(*ir.Instr).ID, 1e9, "%09d")
+	case *ir.Param:
+		return comparePadded(x.Idx, b.(*ir.Param).Idx, 1e4, "%04d")
+	case *ir.Global:
+		return strings.Compare(x.Name, b.(*ir.Global).Name)
+	case *ir.FuncRef:
+		return strings.Compare(x.Name, b.(*ir.FuncRef).Name)
+	case *ir.Const:
+		y := b.(*ir.Const)
+		if x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F) {
+			return 0
+		}
+		return strings.Compare(fmt.Sprintf("%d|%g", x.I, x.F), fmt.Sprintf("%d|%g", y.I, y.F))
+	}
+	return 0
+}
+
+// valueKind ranks the kinds as their key prefixes do: '?' < 'c' < 'f'
+// < 'g' < 'i' < 'p'.
+func valueKind(v ir.Value) int {
+	switch v.(type) {
+	case *ir.Const:
+		return 1
+	case *ir.FuncRef:
+		return 2
+	case *ir.Global:
+		return 3
+	case *ir.Instr:
+		return 4
+	case *ir.Param:
+		return 5
+	}
+	return 0
+}
+
+// comparePadded compares two numbers as their decimal strings
+// zero-padded by format compare. Below limit, where the padding makes
+// every string the same length, that is numeric order.
+func comparePadded(a, b, limit int, format string) int {
+	if a >= 0 && b >= 0 && a < limit && b < limit {
+		return cmp.Compare(a, b)
+	}
+	return strings.Compare(fmt.Sprintf(format, a), fmt.Sprintf(format, b))
 }
 
 func resolveCopies(v ir.Value) ir.Value {

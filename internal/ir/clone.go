@@ -22,7 +22,7 @@ func CloneFunc(f *Func) *Func {
 	}
 	blockMap := make(map[*Block]*Block, len(f.Blocks))
 	for _, b := range f.Blocks {
-		nb := &Block{Name: b.Name, Fn: nf}
+		nb := &Block{ID: b.ID, Name: b.Name, Fn: nf}
 		blockMap[b] = nb
 		nf.Blocks = append(nf.Blocks, nb)
 	}

@@ -307,6 +307,10 @@ func (i *Instr) IsMemRead() bool {
 
 // Block is a basic block.
 type Block struct {
+	// ID is unique within the function and below Func.NumBlockIDs:
+	// NewBlock assigns it (CloneFunc keeps it), and CFG analyses index
+	// flat per-block tables by it.
+	ID     int
 	Name   string
 	Instrs []*Instr
 	Fn     *Func
@@ -375,7 +379,7 @@ type Func struct {
 
 // NewBlock creates and appends a block.
 func (f *Func) NewBlock(name string) *Block {
-	b := &Block{Name: fmt.Sprintf("%s%d", name, f.nextBlkID), Fn: f}
+	b := &Block{ID: f.nextBlkID, Name: fmt.Sprintf("%s%d", name, f.nextBlkID), Fn: f}
 	f.nextBlkID++
 	f.Blocks = append(f.Blocks, b)
 	return b
@@ -389,16 +393,80 @@ func (f *Func) Entry() *Block {
 	return f.Blocks[0]
 }
 
-// Preds computes the predecessor map.
-func (f *Func) Preds() map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(f.Blocks))
+// PredLists holds every block's predecessors in compressed sparse row
+// form, indexed by block ID: one entry per CFG edge, ordered as the
+// predecessors appear in f.Blocks (a condbr with both arms on one block
+// lists its block twice).
+type PredLists struct {
+	fn *Func
+	// start[id]..start[id+1] is the block's run of list.
+	start []int32
+	list  []*Block
+}
+
+// Preds builds f's predecessor lists. Edges into blocks of another
+// function are left out.
+func (f *Func) Preds() *PredLists {
+	n := f.NumBlockIDs()
+	// Count each block's edges at start[id+2] and prefix-sum, so that
+	// start[id+1] is where the block's run begins; filling then bumps
+	// start[id+1] to the run's end, which is the next block's beginning.
+	start := make([]int32, n+2)
+	f.countPreds(start[2:])
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	list := make([]*Block, start[n+1])
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
+			if f.owns(s) {
+				list[start[s.ID+1]] = b
+				start[s.ID+1]++
+			}
 		}
 	}
-	return preds
+	return &PredLists{fn: f, start: start[:n+1], list: list}
 }
+
+// Of returns b's predecessors. The slice aliases p's storage.
+func (p *PredLists) Of(b *Block) []*Block {
+	if !p.fn.owns(b) || b.ID >= len(p.start)-1 { // b may be newer than p
+		return nil
+	}
+	return p.list[p.start[b.ID]:p.start[b.ID+1]]
+}
+
+// PredCounts returns the number of CFG edges into each block of f, by
+// block ID.
+func (f *Func) PredCounts() []int32 {
+	counts := make([]int32, f.NumBlockIDs())
+	f.countPreds(counts)
+	return counts
+}
+
+// countPreds adds the number of edges into each block of f to
+// counts[id].
+func (f *Func) countPreds(counts []int32) {
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if f.owns(s) {
+				counts[s.ID]++
+			}
+		}
+	}
+}
+
+// owns reports whether b is a block of f with an ID in range, so that
+// it may index f's per-block tables.
+func (f *Func) owns(b *Block) bool {
+	return b != nil && b.Fn == f && uint(b.ID) < uint(f.nextBlkID)
+}
+
+// NumBlockIDs returns the bound on block IDs: every block NewBlock
+// made for f has a unique ID in [0, NumBlockIDs()). IDs are never
+// reused, so a table indexed by ID also covers blocks a pass has since
+// merged away.
+func (f *Func) NumBlockIDs() int { return f.nextBlkID }
 
 // NumIDs returns the bound on instruction IDs: every instruction that
 // Append or InsertBefore put into f has a unique ID in [0, NumIDs()).

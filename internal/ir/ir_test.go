@@ -105,11 +105,11 @@ func TestSuccsAndPreds(t *testing.T) {
 		t.Errorf("header succs: %v", s)
 	}
 	preds := f.Preds()
-	if len(preds[header]) != 2 {
-		t.Errorf("header preds: %v", preds[header])
+	if len(preds.Of(header)) != 2 {
+		t.Errorf("header preds: %v", preds.Of(header))
 	}
-	if len(preds[exit]) != 1 || preds[exit][0] != header {
-		t.Errorf("exit preds: %v", preds[exit])
+	if len(preds.Of(exit)) != 1 || preds.Of(exit)[0] != header {
+		t.Errorf("exit preds: %v", preds.Of(exit))
 	}
 }
 
@@ -150,8 +150,11 @@ func TestFindLoops(t *testing.T) {
 	if len(l.Latches) != 1 || l.Latches[0] != body {
 		t.Errorf("latches: %v", l.Latches)
 	}
-	if !l.Blocks[header] || !l.Blocks[body] || l.Blocks[exit] {
+	if !l.Contains(header) || !l.Contains(body) || l.Contains(exit) {
 		t.Errorf("body set wrong: %v", l.Blocks)
+	}
+	if len(l.Blocks) != 2 || l.Blocks[0] != header || l.Blocks[1] != body {
+		t.Errorf("body list wrong: %v", l.Blocks)
 	}
 	if l.Preheader == nil || l.Preheader.Name != "entry0" {
 		t.Errorf("preheader: %v", l.Preheader)
@@ -283,5 +286,69 @@ func TestTerminatorPredicates(t *testing.T) {
 	}
 	if !ld.IsMemRead() || ld.IsMemWrite() {
 		t.Error("load effects")
+	}
+}
+
+func TestVerifyCatchesBlockIDs(t *testing.T) {
+	f, _, header, body, _ := makeLoopFn()
+	if problems := f.Verify(); len(problems) != 0 {
+		t.Fatalf("clean function reported: %v", problems)
+	}
+	body.ID = header.ID
+	if problems := f.Verify(); len(problems) == 0 || !strings.Contains(strings.Join(problems, "\n"), "share ID") {
+		t.Errorf("duplicate block ID not caught: %v", problems)
+	}
+	body.ID = f.NumBlockIDs()
+	if problems := f.Verify(); len(problems) == 0 || !strings.Contains(strings.Join(problems, "\n"), "outside") {
+		t.Errorf("out-of-range block ID not caught: %v", problems)
+	}
+}
+
+// threeExitLoop builds a loop whose three exiting blocks and three
+// dedicated exits are laid out in f.Blocks in an order different from
+// both the CFG walk and the exits' creation order.
+func threeExitLoop() (f *Func, want [][2]*Block) {
+	f = &Func{Name: "exits"}
+	entry := f.NewBlock("entry")
+	b2 := f.NewBlock("b2")
+	h := f.NewBlock("h")
+	x3 := f.NewBlock("x3")
+	b1 := f.NewBlock("b1")
+	x1 := f.NewBlock("x1")
+	x2 := f.NewBlock("x2")
+	c := entry.Append(&Instr{Op: OpCmp, Cls: I32, Pred: Lt, Args: []Value{ConstInt(I32, 0), ConstInt(I32, 1)}})
+	entry.Append(&Instr{Op: OpBr, Cls: Void, Target: h})
+	h.Append(&Instr{Op: OpCondBr, Cls: Void, Args: []Value{c}, Then: b1, Else: x1})
+	b1.Append(&Instr{Op: OpCondBr, Cls: Void, Args: []Value{c}, Then: b2, Else: x2})
+	b2.Append(&Instr{Op: OpCondBr, Cls: Void, Args: []Value{c}, Then: h, Else: x3})
+	for _, x := range []*Block{x1, x2, x3} {
+		x.Append(&Instr{Op: OpRet, Cls: Void})
+	}
+	return f, [][2]*Block{{b2, x3}, {h, x1}, {b1, x2}}
+}
+
+// TestLoopExitsInBlockOrder pins that a loop's body and exits come out
+// in f.Blocks order on every call, so passes that insert code per exit
+// (LICM's promotion sinks) number it the same way every compile.
+func TestLoopExitsInBlockOrder(t *testing.T) {
+	f, want := threeExitLoop()
+	for i := 0; i < 100; i++ {
+		loops := FindLoops(f, ComputeDom(f))
+		if len(loops) != 1 {
+			t.Fatalf("found %d loops, want 1", len(loops))
+		}
+		l := loops[0]
+		if len(l.Exits) != len(want) {
+			t.Fatalf("call %d: %d exits, want %d", i, len(l.Exits), len(want))
+		}
+		for j := range want {
+			if l.Exits[j] != want[j] {
+				t.Fatalf("call %d: exit %d is %s->%s, want %s->%s", i, j,
+					l.Exits[j][0].Name, l.Exits[j][1].Name, want[j][0].Name, want[j][1].Name)
+			}
+		}
+		if len(l.Blocks) != 3 || l.Blocks[0] != want[0][0] || l.Blocks[1] != want[1][0] || l.Blocks[2] != want[2][0] {
+			t.Fatalf("call %d: body %v not in f.Blocks order", i, l.Blocks)
+		}
 	}
 }

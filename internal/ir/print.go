@@ -131,8 +131,9 @@ func (i *Instr) String() string {
 }
 
 // Verify checks structural invariants: every block terminated, operands
-// defined in the same function, branch targets present, instruction IDs
-// unique and below NumIDs. It returns the list of problems found.
+// defined in the same function, branch targets present, block IDs
+// unique and below NumBlockIDs, instruction IDs unique and below NumIDs.
+// It returns the list of problems found.
 func (m *Module) Verify() []string {
 	var problems []string
 	for _, f := range m.Funcs {
@@ -144,10 +145,22 @@ func (m *Module) Verify() []string {
 // Verify checks one function's structural invariants.
 func (f *Func) Verify() []string {
 	var problems []string
-	blocks := make(map[*Block]bool, len(f.Blocks))
+	// blocks holds f's blocks by ID, so a branch target is f's own
+	// exactly when it is the block its ID names.
+	blocks := make([]*Block, f.nextBlkID)
 	for _, b := range f.Blocks {
-		blocks[b] = true
+		switch {
+		case b.Fn != f:
+			problems = append(problems, fmt.Sprintf("%s: block %s belongs to another function", f.Name, b.Name))
+		case b.ID < 0 || b.ID >= len(blocks):
+			problems = append(problems, fmt.Sprintf("%s: block %s has ID %d outside [0, %d)", f.Name, b.Name, b.ID, len(blocks)))
+		case blocks[b.ID] != nil:
+			problems = append(problems, fmt.Sprintf("%s: blocks %s and %s share ID %d", f.Name, blocks[b.ID].Name, b.Name, b.ID))
+		default:
+			blocks[b.ID] = b
+		}
 	}
+	own := func(b *Block) bool { return f.owns(b) && blocks[b.ID] == b }
 	defined := make(map[Value]bool)
 	for _, p := range f.Params {
 		defined[p] = true
@@ -193,11 +206,11 @@ func (f *Func) Verify() []string {
 			}
 			switch in.Op {
 			case OpBr:
-				if !blocks[in.Target] {
+				if !own(in.Target) {
 					problems = append(problems, fmt.Sprintf("%s: br to foreign block", f.Name))
 				}
 			case OpCondBr:
-				if !blocks[in.Then] || !blocks[in.Else] {
+				if !own(in.Then) || !own(in.Else) {
 					problems = append(problems, fmt.Sprintf("%s: condbr to foreign block", f.Name))
 				}
 			}

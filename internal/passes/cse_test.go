@@ -260,9 +260,8 @@ func TestEarlyCSEConcurrent(t *testing.T) {
 
 // earlyCSEMallocs returns the fewest heap allocations one earlycse call
 // over a fresh copy of cseSource(n)'s loop function made in a few runs.
-// The alias manager leaves unseq-aa out: its pair normalization
-// allocates per query (TestManagerAliasAllocs pins that), which would
-// count alias queries rather than earlycse's own tables.
+// The alias manager runs unseq-aa, as the OOElala pipeline does; its
+// pair normalization allocates nothing (TestManagerAliasAllocs).
 func earlyCSEMallocs(t *testing.T, n int) uint64 {
 	mod := benchModule(t, cseSource(n))
 	fn := mod.FindFunc("k")
@@ -275,7 +274,7 @@ func earlyCSEMallocs(t *testing.T, n int) uint64 {
 	for i := 0; i < 5; i++ {
 		clone := ir.CloneFunc(fn)
 		mem2reg(clone, newAnalysisManager(mod, clone, &opts, nil, nil))
-		mgr := aa.NewManager(clone, false)
+		mgr := aa.NewManager(clone, true)
 		runtime.ReadMemStats(&before)
 		earlyCSE(mod, clone, mgr, nil)
 		runtime.ReadMemStats(&after)

@@ -31,3 +31,18 @@ var (
 	DCE           = dce
 	IsPureValueOp = isPureValueOp
 )
+
+// Hooks for the CFG oracle tests (cfg_test.go).
+
+var SimplifyCFG = simplifyCFG
+
+// RaceEnabled reports a -race build, whose instrumentation adds
+// allocations.
+func RaceEnabled() bool { return raceEnabled }
+
+// DiamondArm reports whether b is a store-diamond arm: speculatable
+// instructions (pure) followed by one store and a br.
+func DiamondArm(b *ir.Block) (pure []*ir.Instr, store *ir.Instr, ok bool) {
+	s, ok := diamondArm(b)
+	return s.pure, s.store, ok
+}

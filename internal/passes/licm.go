@@ -50,33 +50,13 @@ func licm(f *ir.Func, am *AnalysisManager) (hoisted, promoted int) {
 	return hoisted, promoted
 }
 
-// loopInstrs enumerates the loop body's instructions.
-func loopInstrs(l *ir.Loop) []*ir.Instr {
-	var out []*ir.Instr
-	for _, b := range blocksOf(l) {
-		out = append(out, b.Instrs...)
-	}
-	return out
-}
-
-func blocksOf(l *ir.Loop) []*ir.Block {
-	var out []*ir.Block
-	fn := l.Header.Fn
-	for _, b := range fn.Blocks {
-		if l.Blocks[b] {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // definedInLoop reports whether v is an instruction defined inside l.
 func definedInLoop(l *ir.Loop, v ir.Value) bool {
 	in, ok := v.(*ir.Instr)
 	if !ok {
 		return false
 	}
-	return l.Blocks[in.Block()]
+	return l.Contains(in.Block())
 }
 
 // hoistInvariants moves invariant pure instructions and safe invariant
@@ -90,16 +70,18 @@ func hoistInvariants(mod *ir.Module, f *ir.Func, l *ir.Loop, mgr *aa.Manager, dt
 	// summaries each one gets a per-candidate CallModRef query instead
 	// of vetoing every load hoist in the loop.
 	writesIn := func() (ws, calls []*ir.Instr, ok bool) {
-		for _, in := range loopInstrs(l) {
-			switch in.Op {
-			case ir.OpStore, ir.OpVecStore, ir.OpMemset, ir.OpMemcpy:
-				ws = append(ws, in)
-			case ir.OpCall:
-				if _, w := callEffects(mod, in); w {
-					if !mgr.HasSummaries() {
-						return nil, nil, false // unknown write: no load hoisting
+		for _, b := range l.Blocks {
+			for _, in := range b.Instrs {
+				switch in.Op {
+				case ir.OpStore, ir.OpVecStore, ir.OpMemset, ir.OpMemcpy:
+					ws = append(ws, in)
+				case ir.OpCall:
+					if _, w := callEffects(mod, in); w {
+						if !mgr.HasSummaries() {
+							return nil, nil, false // unknown write: no load hoisting
+						}
+						calls = append(calls, in)
 					}
-					calls = append(calls, in)
 				}
 			}
 		}
@@ -109,7 +91,7 @@ func hoistInvariants(mod *ir.Module, f *ir.Func, l *ir.Loop, mgr *aa.Manager, dt
 	for round := 0; round < 4; round++ {
 		writes, calls, writesKnown := writesIn()
 		changed := false
-		for _, b := range blocksOf(l) {
+		for _, b := range l.Blocks {
 			// Only hoist from blocks that execute on every iteration.
 			execEvery := true
 			for _, latch := range l.Latches {
@@ -222,7 +204,7 @@ func promoteScalars(mod *ir.Module, f *ir.Func, l *ir.Loop, mgr *aa.Manager, dt 
 	var groupOrder []ir.Value
 	var others []*ir.Instr // memory ops not in any group (by pointer)
 	var calls []*ir.Instr  // calls with memory effects, summary-checked per group
-	for _, b := range blocksOf(l) {
+	for _, b := range l.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpLoad, ir.OpStore:
@@ -269,6 +251,7 @@ func promoteScalars(mod *ir.Module, f *ir.Func, l *ir.Loop, mgr *aa.Manager, dt 
 	}
 
 	promoted := 0
+	var npreds predCounts // built on first use; promotion leaves the CFG alone
 	for _, gptr := range groupOrder {
 		g := groups[gptr]
 		if len(g.stores) == 0 {
@@ -346,10 +329,12 @@ func promoteScalars(mod *ir.Module, f *ir.Func, l *ir.Loop, mgr *aa.Manager, dt 
 		// Sinking the final value needs a dedicated exit block per exit
 		// edge (our structured lowering provides them); bail out before
 		// mutating anything if an exit target is shared.
-		preds := f.Preds()
+		if npreds == nil {
+			npreds = f.PredCounts()
+		}
 		exitsOK := true
 		for _, e := range l.Exits {
-			if len(preds[e[1]]) != 1 {
+			if npreds.of(f, e[1]) != 1 {
 				exitsOK = false
 			}
 		}

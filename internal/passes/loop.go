@@ -35,7 +35,7 @@ func recognize(f *ir.Func, l *ir.Loop) (*canonLoop, bool) {
 	}
 	h := l.Header
 	body := l.Latches[0]
-	if body == h || !l.Blocks[body] {
+	if body == h || !l.Contains(body) {
 		return nil, false
 	}
 	// Header: load, cmp, condbr (allow leading pure instrs).
@@ -63,7 +63,7 @@ func recognize(f *ir.Func, l *ir.Loop) (*canonLoop, bool) {
 	if definedInLoop(l, limit) {
 		return nil, false
 	}
-	if term.Then != body || l.Blocks[term.Else] {
+	if term.Then != body || l.Contains(term.Else) {
 		return nil, false
 	}
 	// All other header instructions must be speculatable or the iv load.

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -8,98 +10,139 @@ import (
 // branches, forms selects from store diamonds (if-conversion — what lets
 // the ternary bodies of minmax and MagickMax become vectorizable
 // straight-line code), and merges straight-line block chains.
+//
+// Predecessor counts are built once per call and kept current as the
+// CFG changes; removed blocks are dropped from f.Blocks in one
+// compaction at the end.
 func simplifyCFG(f *ir.Func) int {
-	changed := 0
-	changed += formSelects(f)
-	// Fold constant condbrs.
+	npreds := predCounts(f.PredCounts())
+	changed := formSelects(f, npreds)
+	// Fold constant condbrs; the arm no longer taken loses an edge.
 	for _, b := range f.Blocks {
 		t := b.Terminator()
 		if t == nil || t.Op != ir.OpCondBr {
 			continue
 		}
+		target, dropped := t.Then, t.Else
 		if c, ok := t.Args[0].(*ir.Const); ok && !c.Cls.IsFloat() {
-			target := t.Else
-			if c.I != 0 {
-				target = t.Then
+			if c.I == 0 {
+				target, dropped = t.Else, t.Then
 			}
-			t.Op = ir.OpBr
-			t.Args = nil
-			t.Target = target
-			t.Then, t.Else = nil, nil
-			changed++
-		} else if t.Then == t.Else {
-			t.Op = ir.OpBr
-			t.Args = nil
-			t.Target = t.Then
-			t.Then, t.Else = nil, nil
-			changed++
+		} else if t.Then != t.Else {
+			continue
 		}
+		t.Op = ir.OpBr
+		t.Args = nil
+		t.Target = target
+		t.Then, t.Else = nil, nil
+		npreds.add(f, dropped, -1)
+		changed++
 	}
-	// Remove unreachable blocks.
-	reach := map[*ir.Block]bool{}
-	var stack []*ir.Block
+	// Mark the blocks reachable from the entry; the rest go, taking
+	// their out-edges with them.
+	live := make([]bool, f.NumBlockIDs())
+	stack := make([]*ir.Block, 0, len(f.Blocks))
 	if e := f.Entry(); e != nil {
-		reach[e] = true
+		live[e.ID] = true
 		stack = append(stack, e)
 	}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range b.Succs() {
-			if !reach[s] {
-				reach[s] = true
+			if npreds.owns(f, s) && !live[s.ID] {
+				live[s.ID] = true
 				stack = append(stack, s)
 			}
 		}
 	}
-	var kept []*ir.Block
 	for _, b := range f.Blocks {
-		if reach[b] {
-			kept = append(kept, b)
-		} else {
+		if !live[b.ID] {
+			for _, s := range b.Succs() {
+				npreds.add(f, s, -1)
+			}
 			changed++
 		}
 	}
-	f.Blocks = kept
 
 	// Merge b -> s when b ends in an unconditional br to s and s has b as
-	// its only predecessor (and s is not the entry).
-	for {
-		merged := false
-		preds := f.Preds()
-		for _, b := range f.Blocks {
-			t := b.Terminator()
-			if t == nil || t.Op != ir.OpBr {
-				continue
-			}
-			s := t.Target
-			if s == f.Entry() || s == b || len(preds[s]) != 1 {
-				continue
-			}
-			// Merge s into b.
+	// its only predecessor (and s is not the entry). A merge leaves every
+	// other block's predecessor count as it was: b takes over s's
+	// out-edges. Merges along a chain compose to the same blocks in any
+	// order, so one walk that merges each block's whole chain at once
+	// gives what merging one edge per rescan gave.
+	entry := f.Entry()
+	// next is the block that from's br lets head absorb, or nil.
+	next := func(head, from *ir.Block) *ir.Block {
+		t := from.Terminator()
+		if t == nil || t.Op != ir.OpBr {
+			return nil
+		}
+		s := t.Target
+		if s == entry || s == head || npreds.of(f, s) != 1 {
+			return nil
+		}
+		return s
+	}
+	for _, b := range f.Blocks {
+		if !live[b.ID] {
+			continue
+		}
+		// Grow b once for its whole chain.
+		extra := 0
+		for s := next(b, b); s != nil; s = next(b, s) {
+			extra += len(s.Instrs) - 1
+		}
+		b.Instrs = slices.Grow(b.Instrs, extra)
+		for s := next(b, b); s != nil; s = next(b, b) {
 			b.Instrs = b.Instrs[:len(b.Instrs)-1] // drop the br
 			b.Instrs = append(b.Instrs, s.Instrs...)
 			for _, in := range s.Instrs {
 				setBlock(in, b)
 			}
 			s.Instrs = nil
-			// Remove s from the block list.
-			var kept2 []*ir.Block
-			for _, x := range f.Blocks {
-				if x != s {
-					kept2 = append(kept2, x)
-				}
-			}
-			f.Blocks = kept2
+			live[s.ID] = false
 			changed++
-			merged = true
-			break
-		}
-		if !merged {
-			break
 		}
 	}
+	compactBlocks(f, func(b *ir.Block) bool { return live[b.ID] })
 	return changed
+}
+
+// predCounts holds the number of CFG edges into each block of a
+// function, indexed by block ID (ir.Func.PredCounts).
+type predCounts []int32
+
+// owns reports whether b is a block of f that the table covers.
+func (c predCounts) owns(f *ir.Func, b *ir.Block) bool {
+	return b != nil && b.Fn == f && uint(b.ID) < uint(len(c))
+}
+
+func (c predCounts) of(f *ir.Func, b *ir.Block) int32 {
+	if !c.owns(f, b) {
+		return 0
+	}
+	return c[b.ID]
+}
+
+func (c predCounts) add(f *ir.Func, b *ir.Block, d int32) {
+	if c.owns(f, b) {
+		c[b.ID] += d
+	}
+}
+
+// compactBlocks keeps the blocks of f.Blocks that keep accepts, in
+// order, in place.
+func compactBlocks(f *ir.Func, keep func(*ir.Block) bool) {
+	n := 0
+	for _, b := range f.Blocks {
+		if keep(b) {
+			f.Blocks[n] = b
+			n++
+		}
+	}
+	clear(f.Blocks[n:])
+	f.Blocks = f.Blocks[:n]
 }
 
 // formSelects converts store diamonds into selects:
@@ -111,71 +154,73 @@ func simplifyCFG(f *ir.Func) int {
 // becomes A: [T's and E's instrs], sel = select(c, v1, v2), store p, sel,
 // br J — provided T and E are single-predecessor and contain only
 // speculatable instructions plus one trailing store to the same pointer.
-func formSelects(f *ir.Func) int {
+//
+// Diamonds are formed one at a time, always the first one in f.Blocks
+// order, since each takes fresh instruction IDs. npreds is kept
+// current. Forming a diamond never spoils another; the only one it can
+// enable is at A's predecessor, now that A ends in a br, so the walk
+// starts over only when A has exactly one predecessor. The emptied arms
+// are dropped at the end.
+func formSelects(f *ir.Func, npreds predCounts) int {
 	formed := 0
-	for {
-		preds := f.Preds()
-		done := true
-		for _, a := range f.Blocks {
-			t := a.Terminator()
-			if t == nil || t.Op != ir.OpCondBr || t.Then == t.Else {
-				continue
-			}
-			tb, eb := t.Then, t.Else
-			if len(preds[tb]) != 1 || len(preds[eb]) != 1 {
-				continue
-			}
-			ts, tok := diamondArm(tb)
-			es, eok := diamondArm(eb)
-			if !tok || !eok {
-				continue
-			}
-			if ts.store.Args[0] != es.store.Args[0] {
-				continue
-			}
-			jt, je := tb.Terminator().Target, eb.Terminator().Target
-			if jt != je {
-				continue
-			}
-			cls := ts.store.Args[1].Class()
-			if es.store.Args[1].Class() != cls {
-				continue
-			}
-			// Splice: remove A's condbr, inline both arms' pure instrs,
-			// add select + store + br J.
-			cond := t.Args[0]
-			a.Instrs = a.Instrs[:len(a.Instrs)-1]
-			for _, in := range ts.pure {
-				ir.SetBlock(in, a)
-				a.Instrs = append(a.Instrs, in)
-			}
-			for _, in := range es.pure {
-				ir.SetBlock(in, a)
-				a.Instrs = append(a.Instrs, in)
-			}
-			sel := &ir.Instr{Op: ir.OpSelect, Cls: cls,
-				Args: []ir.Value{cond, ts.store.Args[1], es.store.Args[1]}, Span: ts.store.Span}
-			a.Append(sel)
-			st := &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{ts.store.Args[0], sel}, Span: ts.store.Span}
-			a.Append(st)
-			a.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: jt, Span: ts.store.Span})
-			tb.Instrs = nil
-			eb.Instrs = nil
-			formed++
-			done = false
-			break
+	for i := 0; i < len(f.Blocks); i++ {
+		a := f.Blocks[i]
+		t := a.Terminator()
+		if t == nil || t.Op != ir.OpCondBr || t.Then == t.Else {
+			continue
 		}
-		if done {
-			break
+		tb, eb := t.Then, t.Else
+		if npreds.of(f, tb) != 1 || npreds.of(f, eb) != 1 {
+			continue
 		}
-		// Clean the emptied arm blocks.
-		var kept []*ir.Block
-		for _, b := range f.Blocks {
-			if len(b.Instrs) > 0 || b == f.Entry() {
-				kept = append(kept, b)
-			}
+		ts, tok := diamondArm(tb)
+		es, eok := diamondArm(eb)
+		if !tok || !eok {
+			continue
 		}
-		f.Blocks = kept
+		if ts.store.Args[0] != es.store.Args[0] {
+			continue
+		}
+		jt, je := tb.Terminator().Target, eb.Terminator().Target
+		if jt != je {
+			continue
+		}
+		cls := ts.store.Args[1].Class()
+		if es.store.Args[1].Class() != cls {
+			continue
+		}
+		// Splice: remove A's condbr, inline both arms' pure instrs,
+		// add select + store + br J.
+		cond := t.Args[0]
+		a.Instrs = a.Instrs[:len(a.Instrs)-1]
+		for _, in := range ts.pure {
+			ir.SetBlock(in, a)
+			a.Instrs = append(a.Instrs, in)
+		}
+		for _, in := range es.pure {
+			ir.SetBlock(in, a)
+			a.Instrs = append(a.Instrs, in)
+		}
+		sel := &ir.Instr{Op: ir.OpSelect, Cls: cls,
+			Args: []ir.Value{cond, ts.store.Args[1], es.store.Args[1]}, Span: ts.store.Span}
+		a.Append(sel)
+		st := &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{ts.store.Args[0], sel}, Span: ts.store.Span}
+		a.Append(st)
+		a.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: jt, Span: ts.store.Span})
+		tb.Instrs = nil
+		eb.Instrs = nil
+		// A -> T, A -> E, T -> J, E -> J became A -> J.
+		npreds.add(f, tb, -1)
+		npreds.add(f, eb, -1)
+		npreds.add(f, jt, -1)
+		formed++
+		if npreds.of(f, a) == 1 {
+			i = -1
+		}
+	}
+	if formed > 0 {
+		entry := f.Entry()
+		compactBlocks(f, func(b *ir.Block) bool { return len(b.Instrs) > 0 || b == entry })
 	}
 	return formed
 }
@@ -236,25 +281,31 @@ func setBlock(in *ir.Instr, b *ir.Block) {
 // paper wraps them in metadata for exactly this reason); an intrinsic
 // whose operand would otherwise be dead is deleted along with it.
 //
-// Use counts and the store-only flags live in slices indexed by
+// Use counts and per-instruction flags live in slices indexed by
 // instruction ID (see ir.Func.NumIDs), allocated once per call and
-// cleared each fixpoint round; dce creates no instructions, so the
+// rebuilt each fixpoint round; dce creates no instructions, so the
 // bound holds for the whole call. An operand deleted from the function
 // (a mustnotalias may still name one) keeps its ID, so it indexes the
-// tables too, with a zero count.
+// tables too, with a zero count and no present flag.
 func dce(f *ir.Func) int {
 	removed := 0
 	uses := make([]int32, f.NumIDs())
-	// storeOnly flags allocas used exclusively as store targets: both
-	// the stores and the slot are dead.
-	storeOnly := make([]bool, f.NumIDs())
+	flags := make([]dceFlags, f.NumIDs())
+	// present reports whether x is still in f's body: its flag is set
+	// while it is, and x is f's own (IDs are unique within a function
+	// only).
+	present := func(x *ir.Instr) bool {
+		b := x.Block()
+		return b != nil && b.Fn == f && uint(x.ID) < uint(len(flags)) && flags[x.ID]&dcePresent != 0
+	}
 	for {
 		clear(uses)
-		clear(storeOnly)
+		clear(flags)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
+				flags[in.ID] |= dcePresent
 				if in.Op == ir.OpAlloca {
-					storeOnly[in.ID] = true
+					flags[in.ID] |= dceStoreOnly
 				}
 			}
 		}
@@ -267,7 +318,7 @@ func dce(f *ir.Func) int {
 					if x, ok := a.(*ir.Instr); ok {
 						uses[x.ID]++
 						if !(in.Op == ir.OpStore && ai == 0) {
-							storeOnly[x.ID] = false
+							flags[x.ID] &^= dceStoreOnly
 						}
 					}
 				}
@@ -288,7 +339,7 @@ func dce(f *ir.Func) int {
 					dead = true
 				case in.Op == ir.OpStore && !in.Volatile:
 					p, ok := in.Args[0].(*ir.Instr)
-					dead = ok && storeOnly[p.ID]
+					dead = ok && flags[p.ID]&dceStoreOnly != 0
 				case in.Op == ir.OpAlloca:
 					// A store-only slot is deleted together with its
 					// stores on the next round.
@@ -299,13 +350,14 @@ func dce(f *ir.Func) int {
 					// computation (only referenced by intrinsics).
 					a0, ok0 := in.Args[0].(*ir.Instr)
 					a1, ok1 := in.Args[1].(*ir.Instr)
-					if (ok0 && uses[a0.ID] == 0 && !reachableInstr(f, a0)) ||
-						(ok1 && uses[a1.ID] == 0 && !reachableInstr(f, a1)) {
+					if (ok0 && uses[a0.ID] == 0 && !present(a0)) ||
+						(ok1 && uses[a1.ID] == 0 && !present(a1)) {
 						dead = true
 					}
 				}
 				if dead {
 					removeAt(b, i)
+					flags[in.ID] &^= dcePresent
 					i--
 					removed++
 					changed = true
@@ -319,15 +371,13 @@ func dce(f *ir.Func) int {
 	return removed
 }
 
-// reachableInstr reports whether the instruction is still present in the
-// function body.
-func reachableInstr(f *ir.Func, target *ir.Instr) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in == target {
-				return true
-			}
-		}
-	}
-	return false
-}
+// dceFlags are dce's per-instruction bits.
+type dceFlags uint8
+
+const (
+	// dcePresent: the instruction is in the function body.
+	dcePresent dceFlags = 1 << iota
+	// dceStoreOnly: an alloca used exclusively as a store target, so
+	// both the stores and the slot are dead.
+	dceStoreOnly
+)

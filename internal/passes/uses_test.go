@@ -226,3 +226,37 @@ func TestDCEAllocs(t *testing.T) {
 		t.Errorf("dce made %.1f allocations per call, want at most 2", allocs)
 	}
 }
+
+// TestDCEIntrinsicOperandPresence pins which mustnotalias operands
+// count as still present: one deleted earlier in the same round does
+// not, and neither does an instruction of another function, even when
+// its ID is that of an instruction in the body. Both intrinsics go, as
+// under the oracle.
+func TestDCEIntrinsicOperandPresence(t *testing.T) {
+	build := func() *ir.Func {
+		p := &ir.Param{Name: "p", Cls: ir.Ptr}
+		other := &ir.Func{Name: "other"}
+		ob := other.NewBlock("entry")
+		ob.Append(&ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, Name: "o0", AllocSz: 8})
+		foreign := ob.Append(&ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, Name: "o1", AllocSz: 8})
+
+		f := &ir.Func{Name: "presence", Ret: ir.Void, Params: []*ir.Param{p}}
+		b := f.NewBlock("entry")
+		dead := b.Append(&ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Args: []ir.Value{p, ir.ConstInt(ir.I64, 1)}, Scale: 8})
+		// ID 1, the foreign operand's, is this intrinsic's own.
+		b.Append(&ir.Instr{Op: ir.OpMustNotAlias, Cls: ir.Void, Args: []ir.Value{foreign, p}})
+		b.Append(&ir.Instr{Op: ir.OpMustNotAlias, Cls: ir.Void, Args: []ir.Value{p, dead}})
+		b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void})
+		if foreign.ID != 1 || b.Instrs[1].ID != 1 {
+			t.Fatalf("IDs %d and %d, want the foreign operand to share ID 1", foreign.ID, b.Instrs[1].ID)
+		}
+		return f
+	}
+	f, ref := build(), build()
+	if got, want := passes.DCE(f), oracleDCE(ref); got != 3 || want != 3 {
+		t.Fatalf("dce removed %d, oracle %d, want 3", got, want)
+	}
+	if f.String() != ref.String() {
+		t.Errorf("dce IR differs from the oracle:\n%s\noracle:\n%s", f, ref)
+	}
+}

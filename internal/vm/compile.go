@@ -218,10 +218,17 @@ const memBase = 0x10000
 type compiler struct {
 	p         *Program
 	funcAddrs map[string]int64
-	// fc and constIdx are the function being compiled and its constant
-	// slots by value.
+	// fn and fc are the function being compiled and its code; constIdx
+	// holds its constant slots by value.
+	fn       *ir.Func
 	fc       *fnCode
 	constIdx map[constKey]int32
+
+	// Per-function tables, indexed by instruction ID (slot, uses) or
+	// block ID (blockPC) and reused across the functions of one Compile.
+	slot    []int32 // value register; -1 for an ID not in the body
+	uses    []int32 // operand uses, metadata included
+	blockPC []int32
 }
 
 type constKey struct {
@@ -288,7 +295,7 @@ func Compile(mod *ir.Module) *Program {
 
 // operand encodes an IR value: instruction results and params map to
 // value registers, everything constant-like to a constant slot.
-func (c *compiler) operand(slots map[ir.Value]int32, v ir.Value) int32 {
+func (c *compiler) operand(v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Const:
 		if x.Cls.IsFloat() {
@@ -299,14 +306,51 @@ func (c *compiler) operand(slots map[ir.Value]int32, v ir.Value) int32 {
 		return c.constRef(interp.IV(c.p.globals[x.Name]))
 	case *ir.FuncRef:
 		return c.constRef(interp.IV(c.funcAddrs[x.Name]))
-	default:
-		if s, ok := slots[v]; ok {
-			return s
-		}
-		// A use of a never-defined value reads as zero under the
-		// interpreter's register map; encode a zero constant.
-		return c.constRef(Val{})
 	}
+	if s := c.regOf(v); s >= 0 {
+		return s
+	}
+	// A use of a never-defined value reads as zero under the
+	// interpreter's register map; encode a zero constant.
+	return c.constRef(Val{})
+}
+
+// regOf returns the value register of a parameter or of an instruction
+// in the body of the function being compiled, -1 for any other value.
+// Parameters take the first registers, then instructions in layout
+// order.
+func (c *compiler) regOf(v ir.Value) int32 {
+	switch x := v.(type) {
+	case *ir.Instr:
+		if b := x.Block(); b != nil && b.Fn == c.fn && uint(x.ID) < uint(len(c.slot)) {
+			return c.slot[x.ID]
+		}
+	case *ir.Param:
+		for i, p := range c.fn.Params {
+			if p == x {
+				return int32(i)
+			}
+		}
+	}
+	return -1
+}
+
+// pcOf returns the first pc of a block of the function being compiled,
+// 0 for any other block.
+func (c *compiler) pcOf(b *ir.Block) int32 {
+	if b.Fn != c.fn || uint(b.ID) >= uint(len(c.blockPC)) {
+		return 0
+	}
+	return c.blockPC[b.ID]
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (c *compiler) constRef(v Val) int32 {
@@ -332,40 +376,62 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 		fc.empty = true
 		return
 	}
-	slots := make(map[ir.Value]int32)
-	for _, prm := range f.Params {
-		slots[prm] = int32(len(slots))
+	c.fn, c.fc = f, fc
+	clear(c.constIdx)
+	c.slot = resize(c.slot, f.NumIDs())
+	for i := range c.slot {
+		c.slot[i] = -1
 	}
+	next := int32(len(f.Params))
+	// maxCode bounds the pcs: one per instruction but metadata, one trap
+	// per unterminated block; fusion only saves some.
+	maxCode := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			slots[in] = int32(len(slots))
+			c.slot[in.ID] = next
+			next++
+			if in.Op != ir.OpMustNotAlias {
+				maxCode++
+			}
+		}
+		if b.Terminator() == nil {
+			maxCode++
 		}
 	}
-	fc.numRegs = len(slots)
-	c.fc = fc
-	clear(c.constIdx)
+	fc.numRegs = int(next)
 
 	// Use counts gate superinstruction fusion: a producer may only be
 	// folded into its consumer when nothing else reads it (metadata uses
 	// count too — conservative, never fuses away an observed value).
-	uses := make(map[ir.Value]int)
+	// Only instructions can be fused producers, so only they are counted.
+	c.uses = resize(c.uses, f.NumIDs())
+	clear(c.uses)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				uses[a]++
+				if x, ok := a.(*ir.Instr); ok && c.regOf(x) >= 0 {
+					c.uses[x.ID]++
+				}
 			}
 		}
 	}
+	soleUse := func(v ir.Value) bool {
+		x, ok := v.(*ir.Instr)
+		return ok && c.regOf(x) >= 0 && c.uses[x.ID] == 1
+	}
 
-	blockPC := make(map[*ir.Block]int32)
+	c.blockPC = resize(c.blockPC, f.NumBlockIDs())
+	clear(c.blockPC)
+	code, pcIR := make([]instr, 0, maxCode), make([]pcIRRef, 0, maxCode)
 	for _, b := range f.Blocks {
-		blockPC[b] = int32(len(fc.code))
+		start := int32(len(code))
+		c.blockPC[b.ID] = start
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpMustNotAlias {
 				continue // metadata: emits no machine code
 			}
 			fc.nonMeta++
-			ins := c.compileInstr(slots, fc, in)
+			ins := c.compileInstr(fc, in)
 			switch ins.op {
 			case opVecLoad, opVecSplat, opVecBin, opVecBinF, opVecBinI,
 				opVecCmp, opVecIota, opVecSelect, opVecCall:
@@ -375,26 +441,38 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 				ins.vecIdx = int32(fc.numVecDsts)
 				fc.numVecDsts++
 			}
-			if n := len(fc.code); n > int(blockPC[b]) && len(in.Args) > 0 {
-				if uses[in.Args[0]] == 1 {
-					if fused, ok := tryFuse(&fc.code[n-1], &ins); ok {
-						fc.code[n-1] = fused
-						fc.pcIR[n-1].b = in
-						continue
-					}
+			if n := len(code); n > int(start) && len(in.Args) > 0 && soleUse(in.Args[0]) {
+				if fused, ok := tryFuse(&code[n-1], &ins); ok {
+					code[n-1] = fused
+					pcIR[n-1].b = in
+					continue
 				}
 			}
-			fc.code = append(fc.code, ins)
-			fc.pcIR = append(fc.pcIR, pcIRRef{a: in})
+			code = append(code, ins)
+			pcIR = append(pcIR, pcIRRef{a: in})
 		}
 		// A block whose last instruction is not a terminator falls
 		// through at runtime under the interpreter; reproduce that as a
 		// trap so the error (if ever reached) is identical.
-		if n := len(fc.code); n == int(blockPC[b]) || !isTerminator(fc.code[n-1].op) {
-			fc.code = append(fc.code, instr{op: opFellThrough, block: b.Name})
-			fc.pcIR = append(fc.pcIR, pcIRRef{})
+		if n := len(code); n == int(start) || !isTerminator(code[n-1].op) {
+			code = append(code, instr{op: opFellThrough, block: b.Name})
+			pcIR = append(pcIR, pcIRRef{})
 		}
 	}
+	// Patch branch targets now that every block has a pc.
+	for i := range code {
+		in := &code[i]
+		if in.tb != nil {
+			in.target = c.pcOf(in.tb)
+			in.tb = nil
+		}
+		if in.eb != nil {
+			in.elseT = c.pcOf(in.eb)
+			in.eb = nil
+		}
+	}
+	fc.code, fc.pcIR = code, pcIR
+
 	// Step prefix sums and segment ends (walked backwards: a terminator
 	// or call closes the segment that the pcs before it belong to).
 	fc.steps = make([]int32, len(fc.code)+1)
@@ -408,18 +486,6 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 			end = int32(pc + 1)
 		}
 		fc.segEnd[pc] = end
-	}
-	// Patch branch targets now that every block has a pc.
-	for i := range fc.code {
-		in := &fc.code[i]
-		if in.tb != nil {
-			in.target = blockPC[in.tb]
-			in.tb = nil
-		}
-		if in.eb != nil {
-			in.elseT = blockPC[in.eb]
-			in.eb = nil
-		}
 	}
 }
 
@@ -481,18 +547,18 @@ func ptrIsReg(v ir.Value) bool {
 	return ok && in.Op == ir.OpAlloca && in.AllocSz <= 8
 }
 
-func (c *compiler) compileInstr(slots map[ir.Value]int32, fc *fnCode, in *ir.Instr) instr {
-	dst := slots[in]
+func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
+	dst := c.slot[in.ID]
 	arg := func(i int) int32 {
 		if i < len(in.Args) {
-			return c.operand(slots, in.Args[i])
+			return c.operand(in.Args[i])
 		}
 		return c.constRef(Val{})
 	}
 	args := func(from int) []int32 {
 		xs := make([]int32, 0, len(in.Args)-from)
 		for i := from; i < len(in.Args); i++ {
-			xs = append(xs, c.operand(slots, in.Args[i]))
+			xs = append(xs, c.operand(in.Args[i]))
 		}
 		return xs
 	}
