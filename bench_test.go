@@ -487,17 +487,25 @@ func BenchmarkSpecCompile(b *testing.B) {
 // is what every experiment, fuzz sweep, and sanitizer replay pays per
 // program, and the vm's contract is "same bits, an order of magnitude
 // less wall-clock". Compare tree/ to vm/ with benchstat or benchdiff.
+// The programs run at unseq-O3, and gemm once more as the sanitizer
+// builds it (O0 with UB checks), whose run is mostly slot loads and
+// ubcheck runs.
 func BenchmarkRunLeg(b *testing.B) {
-	progs := []workload.Program{
-		workload.Bicg(),
-		workload.Gemm(),
-		workload.IntroImagick(3),
-		workload.IntroMinmax(64),
+	o3 := driver.Config{OOElala: true, Files: workload.Files()}
+	san := driver.Config{OOElala: true, Sanitize: true, Files: workload.Files()}
+	legs := []struct {
+		name string
+		p    workload.Program
+		cfg  driver.Config
+	}{
+		{"bicg", workload.Bicg(), o3},
+		{"gemm", workload.Gemm(), o3},
+		{"intro-imagick", workload.IntroImagick(3), o3},
+		{"intro-minmax", workload.IntroMinmax(64), o3},
+		{"gemm-sanitize-O0", workload.Gemm(), san},
 	}
-	for _, p := range progs {
-		p := p
-		c, err := driver.Compile(p.Name, p.Source, driver.Config{
-			OOElala: true, Files: workload.Files()})
+	for _, l := range legs {
+		c, err := driver.Compile(l.p.Name, l.p.Source, l.cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -505,7 +513,7 @@ func BenchmarkRunLeg(b *testing.B) {
 		c.Program()
 		for _, eng := range []string{driver.EngineTree, driver.EngineVM} {
 			eng := eng
-			b.Run(eng+"/"+p.Name, func(b *testing.B) {
+			b.Run(eng+"/"+l.name, func(b *testing.B) {
 				// Collect the previous leg's garbage outside the timer:
 				// the tree-walker allocates heavily, and without this its
 				// GC debt is billed to whichever leg runs next.

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -19,14 +20,17 @@ type engine interface {
 	MilliCycles() int64
 	EnableProfile()
 	ProfileSamples() []profile.Sample
+	SanitizerFailures() []*interp.SanitizerFailure
 }
 
 // outcome is everything one budgeted run observably leaves behind.
 type outcome struct {
+	result    string
 	err       string
 	executed  int64
 	milli     int64
 	profMilli int64
+	failures  string
 }
 
 func runBudgeted(mod *ir.Module, prog *vm.Program, costs interp.CostModel, tree bool, budget int64, prof bool) outcome {
@@ -47,21 +51,26 @@ func runBudgeted(mod *ir.Module, prog *vm.Program, costs interp.CostModel, tree 
 	if prof {
 		m.EnableProfile()
 	}
-	_, err := m.Run("main")
-	o := outcome{executed: executed(), milli: m.MilliCycles()}
+	v, err := m.Run("main")
+	o := outcome{result: fmt.Sprintf("%d/%g/%t", v.I, v.F, v.Fl), executed: executed(), milli: m.MilliCycles()}
 	if err != nil {
 		o.err = strings.TrimPrefix(strings.TrimPrefix(err.Error(), "interp: "), "vm: ")
 	}
 	for _, s := range m.ProfileSamples() {
 		o.profMilli += int64(math.Round(s.Cycles * 1000))
 	}
+	for _, f := range m.SanitizerFailures() {
+		o.failures += fmt.Sprintf("%s:%d:%d ", f.Fn, f.Addr, f.Meta)
+	}
 	return o
 }
 
 // budgetModule is a hand-built program whose segments hold every shape
 // the budget can trip inside: a memset, a call in the middle of a block,
-// fused gep+load, gep+store and cmp+br pairs, and register-class slot
-// traffic.
+// register-class slot traffic, a run of ubchecks (one of which fails),
+// and every fused chain the vm forms, with the produced value at each
+// operand position a two-operand half can take it. TestStepBudget
+// checks that the vm really fuses each one.
 func budgetModule() *ir.Module {
 	m := &ir.Module{Name: "budget"}
 	arr := &ir.Global{Name: "arr", Size: 128, ElemClass: ir.I64}
@@ -76,26 +85,106 @@ func budgetModule() *ir.Module {
 
 	f := &ir.Func{Name: "main", Ret: ir.I64}
 	entry, loop, exit := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("exit")
-	slot := entry.Append(&ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
-	entry.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, ir.ConstInt(ir.I64, 0)}})
-	entry.Append(&ir.Instr{Op: ir.OpMemset, Cls: ir.Void, Scale: 8,
-		Args: []ir.Value{arr, ir.ConstInt(ir.I64, 3), ir.ConstInt(ir.I64, 128)}})
-	entry.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: loop})
+	add := func(b *ir.Block, in *ir.Instr) *ir.Instr { return b.Append(in) }
+	i64 := func(v int64) ir.Value { return ir.ConstInt(ir.I64, v) }
+	f64 := func(v float64) ir.Value { return ir.ConstFloat(ir.F64, v) }
+	slot := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	fslot := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	tmp := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, i64(0)}})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{fslot, f64(1.5)}})
+	pslot := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{pslot, arr}})
+	add(entry, &ir.Instr{Op: ir.OpMemset, Cls: ir.Void, Scale: 8,
+		Args: []ir.Value{arr, i64(3), i64(128)}})
+	add(entry, &ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: loop})
 
-	i := loop.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{slot}})
-	p := loop.Append(&ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, i}})
-	v := loop.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{p}})
-	c := loop.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Callee: "helper", Args: []ir.Value{v}})
-	q := loop.Append(&ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Off: 8, Args: []ir.Value{arr, i}})
-	loop.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{q, c}})
-	i1 := loop.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{i, ir.ConstInt(ir.I64, 1)}})
-	loop.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, i1}})
-	lt := loop.Append(&ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{i1, ir.ConstInt(ir.I64, 4)}})
-	loop.Append(&ir.Instr{Op: ir.OpCondBr, Cls: ir.Void, Args: []ir.Value{lt}, Then: loop, Else: exit})
+	// gep_load, a call, gep_store.
+	i := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{slot}})
+	p := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, i}})
+	v := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{p}})
+	c := add(loop, &ir.Instr{Op: ir.OpCall, Cls: ir.I64, Callee: "helper", Args: []ir.Value{v}})
+	q := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Off: 8, Args: []ir.Value{arr, i}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{q, c}})
+	// load_conv_gep: the O0 index read from a slot.
+	li := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{slot}})
+	ci := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I32, Args: []ir.Value{li}})
+	g := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, ci}})
+	gv := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{g}})
+	// A convert starts no chain: convert, then gep_load.
+	t := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{i, i64(1)}})
+	ct := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I32, Args: []ir.Value{t}})
+	g2 := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, ct}})
+	w := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{g2}})
+	// convert, then gep_store.
+	ci2 := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I32, Args: []ir.Value{i}})
+	g3 := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Off: 16, Args: []ir.Value{arr, ci2}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{g3, w}})
+	// load_conv_gep with the converted value as the base; the gep has
+	// two uses, so the chain stops there.
+	lb := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.Ptr, Args: []ir.Value{pslot}})
+	cb := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{lb}})
+	g4 := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{cb, i}})
+	x4 := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{g4}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{g4, gv}})
+	// A load_conv prefix that no gep extends splits again: load,
+	// convert, then iadd_store of the sum.
+	lf := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.F64, Args: []ir.Value{fslot}})
+	cf := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{lf}})
+	sum := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{cf, x4}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{tmp, sum}})
+	// fmul_fadd with the product as the first, then the second addend.
+	lf2 := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.F64, Args: []ir.Value{fslot}})
+	m1 := add(loop, &ir.Instr{Op: ir.OpMul, Cls: ir.F64, Args: []ir.Value{lf2, f64(2)}})
+	a1 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.F64, Args: []ir.Value{m1, f64(0.5)}})
+	m2 := add(loop, &ir.Instr{Op: ir.OpMul, Cls: ir.F64, Args: []ir.Value{a1, f64(0.25)}})
+	a2 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.F64, Args: []ir.Value{f64(1), m2}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{fslot, a2}})
+	// select_conv.
+	sc := add(loop, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{i, i64(2)}})
+	se := add(loop, &ir.Instr{Op: ir.OpSelect, Cls: ir.F64, Args: []ir.Value{sc, a2, f64(7.5)}})
+	cv := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{se}})
+	// A load_cmp prefix with the loaded value second, not feeding a
+	// branch, splits again.
+	lc := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{tmp}})
+	lcm := add(loop, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Le, Args: []ir.Value{cv, lc}})
+	z := add(loop, &ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{lcm}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{tmp, z}})
+	// gep_vec_load and gep_vec_store.
+	vp := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, i}})
+	vl := add(loop, &ir.Instr{Op: ir.OpVecLoad, Cls: ir.I64, Width: 2, Args: []ir.Value{vp}})
+	vq := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Off: 48, Args: []ir.Value{arr, i}})
+	add(loop, &ir.Instr{Op: ir.OpVecStore, Cls: ir.I64, Width: 2, Args: []ir.Value{vq, vl}})
+	// A run of three ubchecks; the second fails.
+	add(loop, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{arr, fslot}, Meta: 1})
+	add(loop, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{tmp, tmp}, Meta: 2})
+	add(loop, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{slot, tmp}, Meta: 3})
+	// The back edge: iadd_store, then load_cmp_br with the loaded value
+	// first.
+	i1 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{i, i64(1)}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, i1}})
+	ln := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{slot}})
+	lt := add(loop, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{ln, i64(4)}})
+	add(loop, &ir.Instr{Op: ir.OpCondBr, Cls: ir.Void, Args: []ir.Value{lt}, Then: loop, Else: exit})
 
-	last := exit.Append(&ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, ir.ConstInt(ir.I64, 4)}})
-	r := exit.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{last}})
-	exit.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{r}})
+	// gep_load and cmp_br.
+	last := add(exit, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, i64(4)}})
+	r := add(exit, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{last}})
+	odd := add(exit, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Ne, Args: []ir.Value{r, i64(0)}})
+	yes, no := f.NewBlock("yes"), f.NewBlock("no")
+	add(exit, &ir.Instr{Op: ir.OpCondBr, Cls: ir.Void, Args: []ir.Value{odd}, Then: yes, Else: no})
+	fv := add(yes, &ir.Instr{Op: ir.OpLoad, Cls: ir.F64, Args: []ir.Value{fslot}})
+	fr := add(yes, &ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{fv}})
+	sr := add(yes, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{fr, r}})
+	tv := add(yes, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{tmp}})
+	rr := add(yes, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{sr, tv}})
+	// load_cmp_br with the loaded value second.
+	done := f.NewBlock("done")
+	ly := add(yes, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{tmp}})
+	ge := add(yes, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Le, Args: []ir.Value{i64(0), ly}})
+	add(yes, &ir.Instr{Op: ir.OpCondBr, Cls: ir.Void, Args: []ir.Value{ge}, Then: done, Else: no})
+	add(done, &ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{rr}})
+	add(no, &ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{r}})
 	m.Funcs = append(m.Funcs, helper, f)
 	return m
 }
@@ -116,10 +205,12 @@ func fellThroughModule() *ir.Module {
 // TestStepBudget runs every MaxSteps from 0 to the program's full
 // step count + 2, with profiling off and on, on both engines. Wherever
 // the budget trips — between segments, inside one, between the halves
-// of a fused pair, inside a callee — the engines must agree on the
-// error, the retired count, the exact milli-cycle total and the
-// profile's attributed total, and the profile must reconcile to the
-// total minus the top-level CallBase.
+// of a fused chain, inside a run of ubchecks, inside a callee — the
+// engines must agree on the error, the retired count, the exact
+// milli-cycle total, the profile's attributed total and the sanitizer
+// failures, and the profile must reconcile to the total minus the
+// top-level CallBase. Each case also pins the code shapes it is there
+// to cover.
 func TestStepBudget(t *testing.T) {
 	compile := func(cfg driver.Config) *ir.Module {
 		p := workload.IntroMinmax(8)
@@ -131,23 +222,41 @@ func TestStepBudget(t *testing.T) {
 		return c.Module
 	}
 	// The hand-built program runs with a small icache threshold so its
-	// main pays the per-step penalty, which a fused pair that trips on
-	// its second half must pay for its first.
+	// main pays the per-step penalty, which a fused chain that trips
+	// inside must pay for each half that fits.
 	icache := interp.DefaultCosts()
 	icache.ICacheThreshold = 8
+	// covers lists what the compiled code must contain: fused op names,
+	// "3-step" for some three-instruction chain, "ubcheck-run" for two
+	// checks back to back in one segment.
+	var allFused []string
+	for name, steps := range vm.OpSteps() {
+		if steps > 1 {
+			allFused = append(allFused, name)
+		}
+	}
 	cases := []struct {
-		name  string
-		mod   *ir.Module
-		costs interp.CostModel
+		name   string
+		mod    *ir.Module
+		costs  interp.CostModel
+		covers []string
 	}{
-		{"minmax-O0", compile(driver.Config{NoOpt: true}), interp.DefaultCosts()},
-		{"minmax-unseq-O3", compile(driver.Config{OOElala: true}), interp.DefaultCosts()},
-		{"hand-built", budgetModule(), icache},
-		{"fell-through", fellThroughModule(), interp.DefaultCosts()},
+		{"minmax-O0", compile(driver.Config{NoOpt: true}), interp.DefaultCosts(), []string{"3-step"}},
+		{"minmax-sanitize-O0", compile(driver.Config{OOElala: true, Sanitize: true}), interp.DefaultCosts(),
+			[]string{"3-step", "ubcheck-run"}},
+		{"minmax-unseq-O3", compile(driver.Config{OOElala: true}), interp.DefaultCosts(), nil},
+		{"hand-built", budgetModule(), icache, append(allFused, "3-step", "ubcheck-run")},
+		{"fell-through", fellThroughModule(), interp.DefaultCosts(), nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := vm.Compile(tc.mod)
+			shapes := vm.CodeShapes(prog)
+			for _, want := range tc.covers {
+				if shapes[want] == 0 {
+					t.Errorf("compiled code has no %s pc (shapes %v)", want, shapes)
+				}
+			}
 			full := interp.New(tc.mod, tc.costs)
 			full.Run("main")
 			total := full.Executed

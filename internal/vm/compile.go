@@ -72,16 +72,31 @@ const (
 	opFellThrough // non-terminated block reached at runtime
 	opUnhandled   // op the engine does not implement, trapped lazily
 
-	// Fused superinstructions: two adjacent IR instructions where the
-	// first's only use is the second. One dispatch round executes both;
-	// the pc counts two steps and carries both halves' costs (costK,
-	// costK2), so segment charging sees the unfused totals. The dead
-	// intermediate register is never written.
+	// Fused superinstructions: a chain of two or three adjacent IR
+	// instructions from one source line, each but the last read only by
+	// the next (DESIGN.md §9). One dispatch executes the whole chain; the
+	// pc counts one step per instruction and carries each one's cost kind
+	// (costK), so segment charging sees the unfused totals. The dead
+	// intermediate registers are never written. The comment on tryFuse
+	// lists the fields each one reads.
 	opCmpBr       // cmp + condbr on its result
 	opGEPLoad     // gep + scalar load through it
 	opGEPStore    // gep + scalar store through it
 	opGEPVecLoad  // gep + vector load through it
 	opGEPVecStore // gep + vector store through it
+	opLoadConvGEP // load + convert + gep on the converted value
+	opIAddStore   // int add + store of the sum
+	opFMulFAdd    // float mul + float add of the product
+	opSelectConv  // select + convert of the selected value
+	opLoadCmpBr   // load + cmp + condbr on its result
+
+	// Chain prefixes: compile-time states of a chain that is emitted only
+	// once its third instruction extends it (isPrefix). They have no
+	// handler and never reach the dispatch loop.
+	opLoadConv // load + convert, the prefix of load_conv_gep
+	opLoadCmp  // load + cmp, the prefix of load_cmp_br
+
+	numOpcodes
 )
 
 // Cost kinds name the fixed per-op cycle costs; a Machine resolves them
@@ -105,46 +120,53 @@ const (
 	numCostKinds
 )
 
-// instr is one bytecode instruction. Operand fields a/b/c and the
-// entries of xargs are register-file slots: the function's value
+// maxChain is the most IR instructions one fused pc executes.
+const maxChain = 3
+
+// instr is one bytecode instruction, the record the dispatch loop reads.
+// Operand fields a/b/c are register-file slots: the function's value
 // registers, or one of the constant slots at the tail of the register
 // file (see fnCode.consts). Branch targets are pre-resolved pc values.
+// Class, opcode and predicate fields hold ir.Class, ir.Op and ir.Pred
+// narrowed to a byte; fields a fused chain's later half needs besides
+// the first's carry the suffix 2. What few ops read lives elsewhere: a
+// call's callee, arguments and target function, and a fell-through
+// trap's block name, in fnCode.cold; an alloca's size in scale; a
+// ubcheck's provenance id in off; an unhandled op's IR opcode in scale.
 type instr struct {
-	op       opcode
-	costK    uint8
-	costK2   uint8 // fused superinstructions: the second half's cost kind
-	cls      ir.Class
-	unsigned bool
-	irOp     ir.Op   // original opcode for opBin/opDivRem/opUnhandled
-	pred     ir.Pred // opCmp, opVecBin with VecOp==Cmp
-	vecOp    ir.Op
-	dst      int32
-	a, b, c  int32
-	scale    int64
-	off      int64
-	width    int
-	allocIdx int32
-	vecIdx   int32 // per-function vec-destination buffer slot
-	allocSz  int64
-	target   int32 // opBr/opCondBr then-pc
-	elseT    int32 // opCondBr else-pc
-	fn       *fnCode
-	callee   string
-	meta     int // provenance id (opUBCheck)
-	block    string
-	xargs    []int32
-
-	// tb/eb hold block pointers during compilation, patched to pc
-	// indices once all blocks are laid out.
-	tb, eb *ir.Block
+	op opcode
+	// costK is the cost kind of each IR instruction the pc executes, in
+	// order; the entries past its step count are costZero.
+	costK     costs
+	cls, cls2 uint8
+	unsigned  bool
+	unsigned2 bool
+	irOp      uint8 // opBin/opIBits/opDivRem: the IR opcode
+	vecOp     uint8
+	pred      uint8
+	// pos is the operand index at which a fused chain's produced value
+	// enters its two-operand half (gep, cmp, fadd).
+	pos     uint8
+	dst     int32
+	a, b, c int32
+	width   int32
+	aux     int32 // opAlloca: frame alloca index; vec producers: lane buffer slot
+	cold    int32 // calls, opFellThrough: index into fnCode.cold
+	target  int32 // branch then-pc
+	elseT   int32 // conditional branch else-pc
+	scale   int64
+	off     int64
 }
 
-// pcIRRef is the line-table entry for one bytecode pc: the IR
-// instruction it executes, and for fused superinstructions the second
-// instruction folded into the same dispatch round. The pad trap of an
-// unterminated block has a zero entry.
-type pcIRRef struct {
-	a, b *ir.Instr
+// costs lists the cost kinds of the IR instructions one pc executes.
+type costs [maxChain]uint8
+
+// coldOp is the payload of a call or a fell-through trap, kept out of
+// the dispatched record.
+type coldOp struct {
+	fn    *fnCode // opCallFn: the compiled callee
+	name  string  // the callee, or the block that fell through
+	xargs []int32 // call argument slots
 }
 
 // fnCode is one compiled function.
@@ -164,17 +186,21 @@ type fnCode struct {
 	// buffer slot per activation (see Machine.callFn).
 	numVecDsts int
 	code       []instr
+	cold       []coldOp
 	// steps is the step prefix sum over code: steps[pc] counts the
-	// interpreter steps of code[:pc] (a fused pair counts 2, the
-	// fell-through trap 0). segEnd[pc] is the exclusive end of the
-	// straight-line segment holding pc: segments start at a block or
-	// after a call and end at a terminator or a call (DESIGN.md §9).
+	// interpreter steps of code[:pc] (a fused chain counts one per IR
+	// instruction, the fell-through trap 0). segEnd[pc] is the exclusive
+	// end of the straight-line segment holding pc: segments start at a
+	// block or after a call and end at a terminator or a call (DESIGN.md
+	// §9).
 	steps  []int32
 	segEnd []int32
-	// pcIR is the side line table, parallel to code: pc -> IR instr(s) +
-	// source span. It is consulted only when a profile is exported, never
-	// by the dispatch loop.
-	pcIR []pcIRRef
+	// pcIR is the side line table, parallel to code: the IR instruction
+	// each pc starts with (a fused chain's first, all of whose
+	// instructions share its source line), nil for the fell-through trap.
+	// It is consulted only when a profile is exported, never by the
+	// dispatch loop.
+	pcIR []*ir.Instr
 	// profOff is this function's base offset into a Machine's flat
 	// per-pc profile counter array (see Machine.Profile).
 	profOff int
@@ -227,7 +253,7 @@ type compiler struct {
 	// Per-function tables, indexed by instruction ID (slot, uses) or
 	// block ID (blockPC) and reused across the functions of one Compile.
 	slot    []int32 // value register; -1 for an ID not in the body
-	uses    []int32 // operand uses, metadata included
+	uses    []int32 // operand uses, metadata excluded
 	blockPC []int32
 }
 
@@ -335,15 +361,6 @@ func (c *compiler) regOf(v ir.Value) int32 {
 	return -1
 }
 
-// pcOf returns the first pc of a block of the function being compiled,
-// 0 for any other block.
-func (c *compiler) pcOf(b *ir.Block) int32 {
-	if b.Fn != c.fn || uint(b.ID) >= uint(len(c.blockPC)) {
-		return 0
-	}
-	return c.blockPC[b.ID]
-}
-
 // resize returns s with length n, reallocating only when its capacity
 // is short; the contents are unspecified.
 func resize[T any](s []T, n int) []T {
@@ -401,13 +418,17 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 	fc.numRegs = int(next)
 
 	// Use counts gate superinstruction fusion: a producer may only be
-	// folded into its consumer when nothing else reads it (metadata uses
-	// count too — conservative, never fuses away an observed value).
-	// Only instructions can be fused producers, so only they are counted.
+	// folded into its consumer when nothing else reads it. Metadata
+	// operands do not count: mustnotalias emits no code, so nothing reads
+	// a register through it. Only instructions can be fused producers, so
+	// only they are counted.
 	c.uses = resize(c.uses, f.NumIDs())
 	clear(c.uses)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			if in.Op == ir.OpMustNotAlias {
+				continue
+			}
 			for _, a := range in.Args {
 				if x, ok := a.(*ir.Instr); ok && c.regOf(x) >= 0 {
 					c.uses[x.ID]++
@@ -415,17 +436,18 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 			}
 		}
 	}
-	soleUse := func(v ir.Value) bool {
-		x, ok := v.(*ir.Instr)
-		return ok && c.regOf(x) >= 0 && c.uses[x.ID] == 1
-	}
 
 	c.blockPC = resize(c.blockPC, f.NumBlockIDs())
 	clear(c.blockPC)
-	code, pcIR := make([]instr, 0, maxCode), make([]pcIRRef, 0, maxCode)
+	code, pcIR := make([]instr, 0, maxCode), make([]*ir.Instr, 0, maxCode)
 	for _, b := range f.Blocks {
 		start := int32(len(code))
 		c.blockPC[b.ID] = start
+		// tail is the IR instruction whose result the last pc produces.
+		// While the last pc is a chain prefix, head and last are its two
+		// halves as compiled on their own.
+		var tail *ir.Instr
+		var head, last instr
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpMustNotAlias {
 				continue // metadata: emits no machine code
@@ -438,37 +460,39 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 				// Vec-producing instructions each own a per-activation lane
 				// buffer slot (see callFn); allocation happens once per
 				// activation instead of once per execution.
-				ins.vecIdx = int32(fc.numVecDsts)
+				ins.aux = int32(fc.numVecDsts)
 				fc.numVecDsts++
 			}
-			if n := len(code); n > int(start) && len(in.Args) > 0 && soleUse(in.Args[0]) {
-				if fused, ok := tryFuse(&code[n-1], &ins); ok {
+			if n := len(code); n > int(start) && c.uses[tail.ID] == 1 && sameLine(pcIR[n-1], in) {
+				if fused, ok := tryFuse(&code[n-1], &ins, argIndex(in, tail)); ok {
+					if isPrefix(fused.op) {
+						head, last = code[n-1], ins
+					}
 					code[n-1] = fused
-					pcIR[n-1].b = in
+					tail = in
 					continue
 				}
 			}
+			code, pcIR = splitPrefix(code, pcIR, head, last, tail)
 			code = append(code, ins)
-			pcIR = append(pcIR, pcIRRef{a: in})
+			pcIR = append(pcIR, in)
+			tail = in
 		}
+		code, pcIR = splitPrefix(code, pcIR, head, last, tail)
 		// A block whose last instruction is not a terminator falls
 		// through at runtime under the interpreter; reproduce that as a
 		// trap so the error (if ever reached) is identical.
 		if n := len(code); n == int(start) || !isTerminator(code[n-1].op) {
-			code = append(code, instr{op: opFellThrough, block: b.Name})
-			pcIR = append(pcIR, pcIRRef{})
+			code = append(code, instr{op: opFellThrough, cold: fc.addCold(coldOp{name: b.Name})})
+			pcIR = append(pcIR, nil)
 		}
 	}
-	// Patch branch targets now that every block has a pc.
+	// Patch branch targets, compiled as block IDs, now that every block
+	// has a pc.
 	for i := range code {
-		in := &code[i]
-		if in.tb != nil {
-			in.target = c.pcOf(in.tb)
-			in.tb = nil
-		}
-		if in.eb != nil {
-			in.elseT = c.pcOf(in.eb)
-			in.eb = nil
+		switch in := &code[i]; in.op {
+		case opBr, opCondBr, opCmpBr, opLoadCmpBr:
+			in.target, in.elseT = c.pcAt(in.target), c.pcAt(in.elseT)
 		}
 	}
 	fc.code, fc.pcIR = code, pcIR
@@ -489,54 +513,152 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 	}
 }
 
+// splitPrefix puts back the two halves, head and last (compiled from
+// the IR instruction lastIR), of a chain prefix that ends the code
+// because no instruction extended it. The last half would fuse with
+// nothing after the split either: convert starts no chain, and cmp only
+// cmp_br, whose condbr would have extended load_cmp.
+func splitPrefix(code []instr, pcIR []*ir.Instr, head, last instr, lastIR *ir.Instr) ([]instr, []*ir.Instr) {
+	if n := len(code); n > 0 && isPrefix(code[n-1].op) {
+		code[n-1] = head
+		code, pcIR = append(code, last), append(pcIR, lastIR)
+	}
+	return code, pcIR
+}
+
+// addCold appends a cold payload and returns its index.
+func (fc *fnCode) addCold(p coldOp) int32 {
+	fc.cold = append(fc.cold, p)
+	return int32(len(fc.cold) - 1)
+}
+
+// blockRef encodes a branch target for compileInstr: the block's ID, or
+// -1 for a block outside the function being compiled.
+func (c *compiler) blockRef(b *ir.Block) int32 {
+	if b == nil || b.Fn != c.fn || uint(b.ID) >= uint(len(c.blockPC)) {
+		return -1
+	}
+	return int32(b.ID)
+}
+
+// pcAt resolves a blockRef to the block's first pc, 0 for -1.
+func (c *compiler) pcAt(ref int32) int32 {
+	if ref < 0 {
+		return 0
+	}
+	return c.blockPC[ref]
+}
+
+// sameLine reports whether two instructions lower from one source line,
+// the condition for fusing them: a fused pc's profile samples carry its
+// first instruction's line.
+func sameLine(x, y *ir.Instr) bool {
+	return x.Span.Start.Line == y.Span.Start.Line && x.Span.Start.File == y.Span.Start.File
+}
+
+// argIndex returns the operand index at which in reads v, -1 if none.
+func argIndex(in *ir.Instr, v *ir.Instr) int {
+	for i, a := range in.Args {
+		if a == ir.Value(v) {
+			return i
+		}
+	}
+	return -1
+}
+
 func isTerminator(op opcode) bool {
 	switch op {
-	case opBr, opCondBr, opCmpBr, opRet, opRetVoid, opFellThrough:
+	case opBr, opCondBr, opCmpBr, opLoadCmpBr, opRet, opRetVoid, opFellThrough:
 		return true
 	}
 	return false
 }
 
+// isPrefix reports whether op is a chain prefix, which is never emitted.
+func isPrefix(op opcode) bool { return op == opLoadConv || op == opLoadCmp }
+
 // stepsOf is the number of interpreter steps one dispatch of op stands
-// for: both halves of a fused pair, nothing for the fell-through trap
-// (the interpreter errors after the block's last instruction without
-// taking another step), one otherwise.
-func stepsOf(op opcode) int32 {
-	switch op {
-	case opCmpBr, opGEPLoad, opGEPStore, opGEPVecLoad, opGEPVecStore:
-		return 2
-	case opFellThrough:
-		return 0
+// for (see opTable).
+func stepsOf(op opcode) int32 { return int32(opTable[op].steps) }
+
+// tryFuse extends the previous pc, prev, with ins when prev's result
+// feeds ins as its sole consumer at operand index k. It returns the
+// fused instruction and true, or false when the chain doesn't fuse.
+// Matching is greedy: a pc fuses with what follows it, and a fused pc
+// may grow by one more instruction up to maxChain. A chain prefix
+// (isPrefix) has no handler; compileFunc splits it again when the next
+// instruction does not extend it.
+//
+// Field use, by op (producer halves first):
+//   - cmp_br: cmp a, b, pred, unsigned; target, elseT.
+//   - gep_load, gep_store, gep_vec_load, gep_vec_store: gep a, b, scale,
+//     off; load cls, unsigned, dst; store value c; vector cls, width,
+//     aux, dst or value c.
+//   - load_conv_gep: load a, cls, unsigned; convert cls2, unsigned2;
+//     gep's other operand b at pos, scale, off, dst.
+//   - iadd_store: add a, b, cls, unsigned; the store's address c.
+//   - fmul_fadd: mul a, b; add's other operand c at pos, dst.
+//   - select_conv: select a, b, c; convert cls, unsigned, dst.
+//   - load_cmp_br: load a, cls, unsigned; cmp's other operand b at pos,
+//     pred, unsigned2; target, elseT.
+func tryFuse(prev, ins *instr, k int) (instr, bool) {
+	n := stepsOf(prev.op)
+	if k < 0 || n >= maxChain {
+		return instr{}, false
 	}
-	return 1
+	f := instr{costK: prev.costK}
+	f.costK[n] = ins.costK[0]
+	switch {
+	case prev.op == opCmp && ins.op == opCondBr:
+		f.op, f.a, f.b, f.pred, f.unsigned = opCmpBr, prev.a, prev.b, prev.pred, prev.unsigned
+		f.target, f.elseT = ins.target, ins.elseT
+	case prev.op == opGEP && k == 0 && (ins.op == opLoad || ins.op == opStore ||
+		ins.op == opVecLoad || ins.op == opVecStore):
+		f.a, f.b, f.scale, f.off = prev.a, prev.b, prev.scale, prev.off
+		f.cls, f.unsigned, f.width, f.aux = ins.cls, ins.unsigned, ins.width, ins.aux
+		switch ins.op {
+		case opLoad:
+			f.op, f.dst = opGEPLoad, ins.dst
+		case opVecLoad:
+			f.op, f.dst = opGEPVecLoad, ins.dst
+		case opStore:
+			f.op, f.c = opGEPStore, ins.b
+		default:
+			f.op, f.c = opGEPVecStore, ins.c
+		}
+	case prev.op == opLoad && ins.op == opConvert:
+		f.op, f.a, f.cls, f.unsigned = opLoadConv, prev.a, prev.cls, prev.unsigned
+		f.cls2, f.unsigned2 = ins.cls, ins.unsigned
+	case prev.op == opLoadConv && ins.op == opGEP && k <= 1:
+		f = *prev
+		f.costK[n] = ins.costK[0]
+		f.op, f.b, f.pos, f.scale, f.off, f.dst = opLoadConvGEP, other(ins, k), uint8(k), ins.scale, ins.off, ins.dst
+	case prev.op == opIAdd && ins.op == opStore && k == 1:
+		f.op, f.a, f.b, f.cls, f.unsigned, f.c = opIAddStore, prev.a, prev.b, prev.cls, prev.unsigned, ins.a
+	case prev.op == opFMul && ins.op == opFAdd && k <= 1:
+		f.op, f.a, f.b, f.c, f.pos, f.dst = opFMulFAdd, prev.a, prev.b, other(ins, k), uint8(k), ins.dst
+	case prev.op == opSelect && ins.op == opConvert:
+		f.op, f.a, f.b, f.c, f.cls, f.unsigned, f.dst = opSelectConv, prev.a, prev.b, prev.c, ins.cls, ins.unsigned, ins.dst
+	case prev.op == opLoad && ins.op == opCmp && k <= 1:
+		f.op, f.a, f.cls, f.unsigned = opLoadCmp, prev.a, prev.cls, prev.unsigned
+		f.b, f.pos, f.pred, f.unsigned2 = other(ins, k), uint8(k), ins.pred, ins.unsigned
+	case prev.op == opLoadCmp && ins.op == opCondBr:
+		f = *prev
+		f.costK[n] = ins.costK[0]
+		f.op, f.target, f.elseT = opLoadCmpBr, ins.target, ins.elseT
+	default:
+		return instr{}, false
+	}
+	return f, true
 }
 
-// tryFuse merges ins into the previous bytecode instruction when prev's
-// result feeds ins as its sole consumer. Returns the fused instruction
-// and true, or false when the pair doesn't fuse.
-func tryFuse(prev *instr, ins *instr) (instr, bool) {
-	switch {
-	case prev.op == opCmp && ins.op == opCondBr && ins.a == prev.dst:
-		return instr{op: opCmpBr, costK: prev.costK, costK2: ins.costK,
-			a: prev.a, b: prev.b, pred: prev.pred, unsigned: prev.unsigned,
-			tb: ins.tb, eb: ins.eb}, true
-	case prev.op == opGEP && ins.op == opLoad && ins.a == prev.dst:
-		return instr{op: opGEPLoad, costK: prev.costK, costK2: ins.costK, dst: ins.dst,
-			a: prev.a, b: prev.b, scale: prev.scale, off: prev.off,
-			cls: ins.cls, unsigned: ins.unsigned}, true
-	case prev.op == opGEP && ins.op == opStore && ins.a == prev.dst:
-		return instr{op: opGEPStore, costK: prev.costK, costK2: ins.costK,
-			a: prev.a, b: prev.b, c: ins.b, scale: prev.scale, off: prev.off}, true
-	case prev.op == opGEP && ins.op == opVecLoad && ins.a == prev.dst:
-		return instr{op: opGEPVecLoad, costK: prev.costK, costK2: ins.costK, dst: ins.dst,
-			a: prev.a, b: prev.b, scale: prev.scale, off: prev.off,
-			cls: ins.cls, width: ins.width, vecIdx: ins.vecIdx}, true
-	case prev.op == opGEP && ins.op == opVecStore && ins.a == prev.dst:
-		return instr{op: opGEPVecStore, costK: prev.costK, costK2: ins.costK,
-			a: prev.a, b: prev.b, c: ins.b, scale: prev.scale, off: prev.off,
-			cls: ins.cls, width: ins.width}, true
+// other returns the operand of a two-operand instruction that is not
+// at index k.
+func other(ins *instr, k int) int32 {
+	if k == 0 {
+		return ins.b
 	}
-	return instr{}, false
+	return ins.a
 }
 
 // ptrIsReg is the static register/memory pointer classification — the
@@ -567,26 +689,26 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 	case ir.OpAlloca:
 		idx := fc.numAllocas
 		fc.numAllocas++
-		return instr{op: opAlloca, costK: costZero, dst: dst,
-			allocIdx: int32(idx), allocSz: int64(in.AllocSz)}
+		return instr{op: opAlloca, costK: costs{costZero}, dst: dst,
+			aux: int32(idx), scale: int64(in.AllocSz)}
 
 	case ir.OpLoad:
 		k := uint8(costMemLoad)
 		if ptrIsReg(in.Args[0]) {
 			k = costRegMove
 		}
-		return instr{op: opLoad, costK: k, dst: dst, a: arg(0),
-			cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: opLoad, costK: costs{k}, dst: dst, a: arg(0),
+			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpStore:
 		k := uint8(costMemStore)
 		if ptrIsReg(in.Args[0]) {
 			k = costRegMove
 		}
-		return instr{op: opStore, costK: k, a: arg(0), b: arg(1)}
+		return instr{op: opStore, costK: costs{k}, a: arg(0), b: arg(1)}
 
 	case ir.OpGEP:
-		return instr{op: opGEP, costK: costALUHalf, dst: dst,
+		return instr{op: opGEP, costK: costs{costALUHalf}, dst: dst,
 			a: arg(0), b: arg(1), scale: int64(in.Scale), off: int64(in.Off)}
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul:
@@ -610,97 +732,97 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		default:
 			op = opIMul
 		}
-		return instr{op: op, costK: costALU, dst: dst, a: arg(0), b: arg(1),
-			irOp: in.Op, cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: op, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+			irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
 		if in.Cls.IsFloat() {
 			// Always a hard error at runtime; the generic handler
 			// reproduces ScalarBin's message.
-			return instr{op: opBin, costK: costALU, dst: dst, a: arg(0), b: arg(1),
-				irOp: in.Op, cls: in.Cls, unsigned: in.Unsigned}
+			return instr{op: opBin, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+				irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 		}
-		return instr{op: opIBits, costK: costALU, dst: dst, a: arg(0), b: arg(1),
-			irOp: in.Op, cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: opIBits, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+			irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpDiv, ir.OpRem:
-		return instr{op: opDivRem, costK: costDiv, dst: dst, a: arg(0), b: arg(1),
-			irOp: in.Op, cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: opDivRem, costK: costs{costDiv}, dst: dst, a: arg(0), b: arg(1),
+			irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpNeg:
-		return instr{op: opNeg, costK: costALU, dst: dst, a: arg(0),
-			cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: opNeg, costK: costs{costALU}, dst: dst, a: arg(0),
+			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpNot:
-		return instr{op: opNot, costK: costALU, dst: dst, a: arg(0),
-			cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: opNot, costK: costs{costALU}, dst: dst, a: arg(0),
+			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpCmp:
-		return instr{op: opCmp, costK: costALU, dst: dst, a: arg(0), b: arg(1),
-			pred: in.Pred, unsigned: in.Unsigned}
+		return instr{op: opCmp, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+			pred: uint8(in.Pred), unsigned: in.Unsigned}
 
 	case ir.OpSelect:
-		return instr{op: opSelect, costK: costALU, dst: dst,
+		return instr{op: opSelect, costK: costs{costALU}, dst: dst,
 			a: arg(0), b: arg(1), c: arg(2)}
 
 	case ir.OpConvert:
-		return instr{op: opConvert, costK: costALUHalf, dst: dst, a: arg(0),
-			cls: in.Cls, unsigned: in.Unsigned}
+		return instr{op: opConvert, costK: costs{costALUHalf}, dst: dst, a: arg(0),
+			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpCall:
 		if in.Callee == "" {
 			// Indirect: first arg is the function pseudo-address,
 			// resolved through the shared table at runtime.
-			return instr{op: opCallIndirect, costK: costZero, dst: dst,
-				a: arg(0), xargs: args(1), cls: in.Cls}
+			return instr{op: opCallIndirect, costK: costs{costZero}, dst: dst,
+				a: arg(0), cold: fc.addCold(coldOp{xargs: args(1)}), cls: uint8(in.Cls)}
 		}
 		// The interpreter consults the builtin table before the module,
 		// so the vm resolves in the same order — just once, at compile
 		// time (the module cannot change afterwards).
 		if isBuiltin(in.Callee) {
-			return instr{op: opCallBuiltin, costK: costZero, dst: dst,
-				xargs: args(0), callee: in.Callee, cls: in.Cls}
+			return instr{op: opCallBuiltin, costK: costs{costZero}, dst: dst,
+				cold: fc.addCold(coldOp{name: in.Callee, xargs: args(0)}), cls: uint8(in.Cls)}
 		}
 		if fn, ok := c.p.byName[in.Callee]; ok {
-			return instr{op: opCallFn, costK: costZero, dst: dst,
-				xargs: args(0), fn: fn, callee: in.Callee, cls: in.Cls}
+			return instr{op: opCallFn, costK: costs{costZero}, dst: dst,
+				cold: fc.addCold(coldOp{fn: fn, name: in.Callee, xargs: args(0)}), cls: uint8(in.Cls)}
 		}
-		return instr{op: opCallUndefined, costK: costZero, callee: in.Callee}
+		return instr{op: opCallUndefined, costK: costs{costZero}, cold: fc.addCold(coldOp{name: in.Callee})}
 
 	case ir.OpBr:
-		return instr{op: opBr, costK: costBranch, tb: in.Target}
+		return instr{op: opBr, costK: costs{costBranch}, target: c.blockRef(in.Target)}
 
 	case ir.OpCondBr:
-		return instr{op: opCondBr, costK: costBranch, a: arg(0),
-			tb: in.Then, eb: in.Else}
+		return instr{op: opCondBr, costK: costs{costBranch}, a: arg(0),
+			target: c.blockRef(in.Then), elseT: c.blockRef(in.Else)}
 
 	case ir.OpRet:
 		if len(in.Args) > 0 {
-			return instr{op: opRet, costK: costZero, a: arg(0)}
+			return instr{op: opRet, costK: costs{costZero}, a: arg(0)}
 		}
-		return instr{op: opRetVoid, costK: costZero}
+		return instr{op: opRetVoid, costK: costs{costZero}}
 
 	case ir.OpUBCheck:
-		return instr{op: opUBCheck, costK: costALU, a: arg(0), b: arg(1), meta: in.Meta}
+		return instr{op: opUBCheck, costK: costs{costALU}, a: arg(0), b: arg(1), off: int64(in.Meta)}
 
 	case ir.OpMemset:
-		return instr{op: opMemset, costK: costZero,
+		return instr{op: opMemset, costK: costs{costZero},
 			a: arg(0), b: arg(1), c: arg(2), scale: strideOr8(in.Scale)}
 
 	case ir.OpMemcpy:
-		return instr{op: opMemcpy, costK: costZero,
+		return instr{op: opMemcpy, costK: costs{costZero},
 			a: arg(0), b: arg(1), c: arg(2), scale: strideOr8(in.Scale)}
 
 	case ir.OpVecLoad:
-		return instr{op: opVecLoad, costK: costVecMem, dst: dst, a: arg(0),
-			cls: in.Cls, width: in.Width}
+		return instr{op: opVecLoad, costK: costs{costVecMem}, dst: dst, a: arg(0),
+			cls: uint8(in.Cls), width: int32(in.Width)}
 
 	case ir.OpVecStore:
-		return instr{op: opVecStore, costK: costVecMem, a: arg(0), b: arg(1),
-			cls: in.Cls, width: in.Width}
+		return instr{op: opVecStore, costK: costs{costVecMem}, a: arg(0), c: arg(1),
+			cls: uint8(in.Cls), width: int32(in.Width)}
 
 	case ir.OpVecSplat:
-		return instr{op: opVecSplat, costK: costALU, dst: dst, a: arg(0), width: in.Width}
+		return instr{op: opVecSplat, costK: costs{costALU}, dst: dst, a: arg(0), width: int32(in.Width)}
 
 	case ir.OpVecBin:
 		op := opVecBin
@@ -717,30 +839,30 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		default:
 			op = opVecBinI
 		}
-		return instr{op: op, costK: costVecOp, dst: dst, a: arg(0), b: arg(1),
-			vecOp: in.VecOp, pred: in.Pred, cls: in.Cls, unsigned: in.Unsigned, width: in.Width}
+		return instr{op: op, costK: costs{costVecOp}, dst: dst, a: arg(0), b: arg(1),
+			vecOp: uint8(in.VecOp), pred: uint8(in.Pred), cls: uint8(in.Cls), unsigned: in.Unsigned, width: int32(in.Width)}
 
 	case ir.OpVecReduce:
 		op := opVecReduce
 		if in.Cls.IsFloat() && in.VecOp == ir.OpAdd {
 			op = opVecReduceFAdd
 		}
-		return instr{op: op, costK: costVecOp2, dst: dst, a: arg(0),
-			vecOp: in.VecOp, cls: in.Cls, unsigned: in.Unsigned, width: in.Width}
+		return instr{op: op, costK: costs{costVecOp2}, dst: dst, a: arg(0),
+			vecOp: uint8(in.VecOp), cls: uint8(in.Cls), unsigned: in.Unsigned, width: int32(in.Width)}
 
 	case ir.OpVecIota:
-		return instr{op: opVecIota, costK: costALU, dst: dst, cls: in.Cls, width: in.Width}
+		return instr{op: opVecIota, costK: costs{costALU}, dst: dst, cls: uint8(in.Cls), width: int32(in.Width)}
 
 	case ir.OpVecSelect:
-		return instr{op: opVecSelect, costK: costVecOp, dst: dst,
-			a: arg(0), b: arg(1), c: arg(2), width: in.Width}
+		return instr{op: opVecSelect, costK: costs{costVecOp}, dst: dst,
+			a: arg(0), b: arg(1), c: arg(2), width: int32(in.Width)}
 
 	case ir.OpVecCall:
-		return instr{op: opVecCall, costK: costZero, dst: dst,
-			xargs: args(0), callee: in.Callee, width: in.Width}
+		return instr{op: opVecCall, costK: costs{costZero}, dst: dst,
+			cold: fc.addCold(coldOp{name: in.Callee, xargs: args(0)}), width: int32(in.Width)}
 
 	default:
-		return instr{op: opUnhandled, costK: costZero, irOp: in.Op}
+		return instr{op: opUnhandled, costK: costs{costZero}, scale: int64(in.Op)}
 	}
 }
 

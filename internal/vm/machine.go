@@ -30,8 +30,8 @@ type Machine struct {
 	// CostModel. pen is each function's per-step icache penalty (same
 	// threshold rule as interp.icachePenalized), 0 when it pays none.
 	// segCost[fn][pc] is the milli-cycle prefix sum over the function's
-	// code — each pc's fixed cost, its fused second half, and pen per
-	// step — matching fnCode.steps, so a segment is charged with two
+	// code — the fixed cost of each IR instruction a pc executes, and pen
+	// per step — matching fnCode.steps, so a segment is charged with two
 	// subtractions.
 	costTab [256]int64
 	pen     []int64
@@ -188,8 +188,11 @@ func New(p *Program, costs interp.CostModel) *Machine {
 		prefix = prefix[len(pre):]
 		for pc := range fc.code {
 			in := &fc.code[pc]
-			pre[pc+1] = pre[pc] + m.costTab[in.costK] + m.costTab[in.costK2] +
-				m.pen[i]*int64(fc.steps[pc+1]-fc.steps[pc])
+			c := m.pen[i] * int64(fc.steps[pc+1]-fc.steps[pc])
+			for _, k := range in.costK {
+				c += m.costTab[k]
+			}
+			pre[pc+1] = pre[pc] + c
 		}
 		m.segCost[i] = pre
 	}
@@ -455,12 +458,13 @@ func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, err error) {
 	// defining instruction goes through cloneVec.
 	vecBufs := fr.vecBufs
 	lanes := func(in *instr) []Val {
-		b := vecBufs[in.vecIdx]
-		if cap(b) < in.width {
-			b = make([]Val, in.width)
-			vecBufs[in.vecIdx] = b
+		w := int(in.width)
+		b := vecBufs[in.aux]
+		if cap(b) < w {
+			b = make([]Val, w)
+			vecBufs[in.aux] = b
 		}
-		return b[:in.width:in.width]
+		return b[:w:w]
 	}
 	code := fc.code
 	stepPre, segEnd := fc.steps, fc.segEnd
@@ -473,8 +477,8 @@ func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, err error) {
 	bias := m.steps - executed
 	budget := m.MaxSteps - bias
 
-	pc, end := 0, 0
-	trip, half := false, false
+	pc, end, fit := 0, 0, 0
+	trip := false
 seg:
 	for {
 		end = int(segEnd[pc])
@@ -482,10 +486,10 @@ seg:
 			end = pc + 1
 		}
 		if executed+int64(stepPre[end]-stepPre[pc]) > budget {
-			end, half = tripPoint(stepPre, pc, end, budget-executed)
+			end, fit = tripPoint(stepPre, pc, end, budget-executed)
 			trip = true
 		}
-		if prof != nil && (stepPre[end] > stepPre[pc] || half) {
+		if prof != nil && (stepPre[end] > stepPre[pc] || fit > 0) {
 			// Delta sampling: everything added since the previous dispatch
 			// (its costs, handler-internal additions, a callee's CallBase)
 			// belongs to the previously executed pc.
@@ -503,38 +507,23 @@ seg:
 			in := &code[pc]
 			switch in.op {
 			case opAlloca:
-				a := allocas[in.allocIdx]
+				a := allocas[in.aux]
 				if a == 0 {
-					a = m.alloc(in.allocSz)
-					allocas[in.allocIdx] = a
+					a = m.alloc(in.scale)
+					allocas[in.aux] = a
 				}
 				regs[in.dst] = interp.IV(a)
 
 			case opLoad:
-				addr := iv(&regs[in.a])
-				c := m.cellAt(addr)
-				if in.cls.IsFloat() {
-					if c.Fl {
-						regs[in.dst] = Val{F: c.F, Fl: true}
-					} else {
-						regs[in.dst] = Val{F: float64(c.I), Fl: true}
-					}
+				x := m.cellAt(iv(&regs[in.a]))
+				if isFloat(in.cls) {
+					regs[in.dst] = Val{F: x.f64(), Fl: true}
 				} else {
-					if c.Fl {
-						regs[in.dst] = Val{I: ir.TruncInt(in.cls, ir.FloatToInt(c.F), in.unsigned)}
-					} else {
-						regs[in.dst] = Val{I: ir.TruncInt(in.cls, c.I, in.unsigned)}
-					}
+					regs[in.dst] = Val{I: trunc(in.cls, x.i64(), in.unsigned)}
 				}
 
 			case opStore:
-				addr := iv(&regs[in.a])
-				v := &regs[in.b]
-				if v.Fl {
-					m.setCell(addr, cell{F: v.F, Fl: true})
-				} else {
-					m.setCell(addr, cell{I: v.I})
-				}
+				m.setCell(iv(&regs[in.a]), scalar(&regs[in.b]))
 
 			case opGEP:
 				regs[in.dst] = Val{I: iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off}
@@ -552,42 +541,42 @@ seg:
 				a, b := &regs[in.a], &regs[in.b]
 				if a.Fl || b.Fl {
 					regs[in.dst] = Val{F: fl(a) + fl(b), Fl: true}
-				} else if in.cls == ir.I64 {
+				} else if ir.Class(in.cls) == ir.I64 {
 					regs[in.dst] = Val{I: a.I + b.I}
 				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I+b.I, in.unsigned)}
+					regs[in.dst] = Val{I: trunc(in.cls, a.I+b.I, in.unsigned)}
 				}
 
 			case opISub:
 				a, b := &regs[in.a], &regs[in.b]
 				if a.Fl || b.Fl {
 					regs[in.dst] = Val{F: fl(a) - fl(b), Fl: true}
-				} else if in.cls == ir.I64 {
+				} else if ir.Class(in.cls) == ir.I64 {
 					regs[in.dst] = Val{I: a.I - b.I}
 				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I-b.I, in.unsigned)}
+					regs[in.dst] = Val{I: trunc(in.cls, a.I-b.I, in.unsigned)}
 				}
 
 			case opIMul:
 				a, b := &regs[in.a], &regs[in.b]
 				if a.Fl || b.Fl {
 					regs[in.dst] = Val{F: fl(a) * fl(b), Fl: true}
-				} else if in.cls == ir.I64 {
+				} else if ir.Class(in.cls) == ir.I64 {
 					regs[in.dst] = Val{I: a.I * b.I}
 				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, a.I*b.I, in.unsigned)}
+					regs[in.dst] = Val{I: trunc(in.cls, a.I*b.I, in.unsigned)}
 				}
 
 			case opIBits:
 				a, b := &regs[in.a], &regs[in.b]
 				if a.Fl || b.Fl {
-					err = fmt.Errorf("vm: bitwise op %s on float operands in %s", in.irOp, fc.name)
+					err = fmt.Errorf("vm: bitwise op %s on float operands in %s", ir.Op(in.irOp), fc.name)
 					goto fail
 				}
-				regs[in.dst] = Val{I: ir.FoldInt(in.irOp, in.cls, a.I, b.I, in.unsigned)}
+				regs[in.dst] = Val{I: ir.FoldInt(ir.Op(in.irOp), ir.Class(in.cls), a.I, b.I, in.unsigned)}
 
 			case opBin:
-				v, serr := interp.ScalarBin(in.irOp, in.cls, regs[in.a], regs[in.b], in.unsigned)
+				v, serr := interp.ScalarBin(ir.Op(in.irOp), ir.Class(in.cls), regs[in.a], regs[in.b], in.unsigned)
 				if serr != nil {
 					err = fmt.Errorf("vm: %v in %s", serr, fc.name)
 					goto fail
@@ -600,15 +589,15 @@ seg:
 					err = fmt.Errorf("vm: division by zero in %s", fc.name)
 					goto fail
 				}
-				if in.cls.IsFloat() || a.Fl || b.Fl {
+				if isFloat(in.cls) || a.Fl || b.Fl {
 					// ScalarBin's float path; Div/Rem never fail on floats.
-					if in.irOp == ir.OpDiv {
+					if ir.Op(in.irOp) == ir.OpDiv {
 						regs[in.dst] = Val{F: fl(a) / fl(b), Fl: true}
 					} else {
 						regs[in.dst] = Val{F: math.Mod(fl(a), fl(b)), Fl: true}
 					}
 				} else {
-					regs[in.dst] = Val{I: ir.FoldInt(in.irOp, in.cls, a.I, b.I, in.unsigned)}
+					regs[in.dst] = Val{I: ir.FoldInt(ir.Op(in.irOp), ir.Class(in.cls), a.I, b.I, in.unsigned)}
 				}
 
 			case opNeg:
@@ -616,19 +605,19 @@ seg:
 				if a.Fl {
 					regs[in.dst] = Val{F: -a.F, Fl: true}
 				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, -a.I, in.unsigned)}
+					regs[in.dst] = Val{I: trunc(in.cls, -a.I, in.unsigned)}
 				}
 
 			case opNot:
-				regs[in.dst] = Val{I: ir.TruncInt(in.cls, ^iv(&regs[in.a]), in.unsigned)}
+				regs[in.dst] = Val{I: trunc(in.cls, ^iv(&regs[in.a]), in.unsigned)}
 
 			case opCmp:
 				a, b := &regs[in.a], &regs[in.b]
 				var r bool
 				if a.Fl || b.Fl {
-					r = ir.CompareFloat(in.pred, fl(a), fl(b))
+					r = ir.CompareFloat(ir.Pred(in.pred), fl(a), fl(b))
 				} else {
-					r = ir.CompareInt(in.pred, a.I, b.I, in.unsigned)
+					r = ir.CompareInt(ir.Pred(in.pred), a.I, b.I, in.unsigned)
 				}
 				regs[in.dst] = Val{I: b2i(r)}
 
@@ -641,15 +630,16 @@ seg:
 
 			case opConvert:
 				v := &regs[in.a]
-				if in.cls.IsFloat() {
+				if isFloat(in.cls) {
 					regs[in.dst] = Val{F: fl(v), Fl: true}
 				} else {
-					regs[in.dst] = Val{I: ir.TruncInt(in.cls, iv(v), in.unsigned)}
+					regs[in.dst] = Val{I: trunc(in.cls, iv(v), in.unsigned)}
 				}
 
 			case opCallFn:
 				m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
-				v, cerr := m.callFn(in.fn, gatherInto(fr, in.xargs, true))
+				co := &fc.cold[in.cold]
+				v, cerr := m.callFn(co.fn, gatherInto(fr, co.xargs, true))
 				executed, cycles = m.Executed, m.cycles
 				bias = m.steps - executed
 				budget = m.MaxSteps - bias
@@ -657,18 +647,19 @@ seg:
 					err = cerr
 					goto fail
 				}
-				if in.cls != ir.Void {
+				if ir.Class(in.cls) != ir.Void {
 					regs[in.dst] = v
 				}
 
 			case opCallBuiltin:
-				v, _, berr := interp.CallBuiltin(in.callee, gatherInto(fr, in.xargs, false))
+				co := &fc.cold[in.cold]
+				v, _, berr := interp.CallBuiltin(co.name, gatherInto(fr, co.xargs, false))
 				cycles += m.mc.BuiltinCall
 				if berr != nil {
 					err = berr
 					goto fail
 				}
-				if in.cls != ir.Void {
+				if ir.Class(in.cls) != ir.Void {
 					regs[in.dst] = v
 				}
 
@@ -679,14 +670,14 @@ seg:
 					err = fmt.Errorf("vm: bad indirect call in %s", fc.name)
 					goto fail
 				}
-				callArgs := gatherInto(fr, in.xargs, true)
+				callArgs := gatherInto(fr, fc.cold[in.cold].xargs, true)
 				if v, isB, berr := interp.CallBuiltin(name, callArgs); isB {
 					cycles += m.mc.BuiltinCall
 					if berr != nil {
 						err = berr
 						goto fail
 					}
-					if in.cls != ir.Void {
+					if ir.Class(in.cls) != ir.Void {
 						regs[in.dst] = v
 					}
 				} else if fn, ok := m.p.byName[name]; ok {
@@ -699,7 +690,7 @@ seg:
 						err = cerr
 						goto fail
 					}
-					if in.cls != ir.Void {
+					if ir.Class(in.cls) != ir.Void {
 						regs[in.dst] = v
 					}
 				} else {
@@ -710,11 +701,11 @@ seg:
 			case opFellThrough:
 				// Not a real instruction (zero steps, zero cost): the
 				// interpreter errors after the block's last instruction.
-				err = fmt.Errorf("vm: block %s fell through in %s", in.block, fc.name)
+				err = fmt.Errorf("vm: block %s fell through in %s", fc.cold[in.cold].name, fc.name)
 				goto fail
 
 			case opCallUndefined:
-				err = fmt.Errorf("vm: call to undefined %q from %s", in.callee, fc.name)
+				err = fmt.Errorf("vm: call to undefined %q from %s", fc.cold[in.cold].name, fc.name)
 				goto fail
 
 			case opBr:
@@ -729,14 +720,19 @@ seg:
 				}
 				continue seg
 
+			// Fused chains (tryFuse lists their fields). A leading half's
+			// result stays in a local cell, pointer-free so it lives in
+			// registers; its dead register is never written. The class
+			// stages (load, convert) are written out: as a function one
+			// would not inline (cost 126 against the inliner's budget of
+			// 80, go build -gcflags=-m=2).
 			case opCmpBr:
-				// Fused cmp+condbr.
 				a, b := &regs[in.a], &regs[in.b]
 				var r bool
 				if a.Fl || b.Fl {
-					r = ir.CompareFloat(in.pred, fl(a), fl(b))
+					r = ir.CompareFloat(ir.Pred(in.pred), fl(a), fl(b))
 				} else {
-					r = ir.CompareInt(in.pred, a.I, b.I, in.unsigned)
+					r = ir.CompareInt(ir.Pred(in.pred), a.I, b.I, in.unsigned)
 				}
 				if r {
 					pc = int(in.target)
@@ -746,64 +742,75 @@ seg:
 				continue seg
 
 			case opGEPLoad:
-				// Fused gep+load; the gep's dead register is never written.
-				addr := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
-				c := m.cellAt(addr)
-				if in.cls.IsFloat() {
-					if c.Fl {
-						regs[in.dst] = Val{F: c.F, Fl: true}
-					} else {
-						regs[in.dst] = Val{F: float64(c.I), Fl: true}
-					}
+				x := m.cellAt(iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off)
+				if isFloat(in.cls) {
+					regs[in.dst] = Val{F: x.f64(), Fl: true}
 				} else {
-					if c.Fl {
-						regs[in.dst] = Val{I: ir.TruncInt(in.cls, ir.FloatToInt(c.F), in.unsigned)}
-					} else {
-						regs[in.dst] = Val{I: ir.TruncInt(in.cls, c.I, in.unsigned)}
-					}
+					regs[in.dst] = Val{I: trunc(in.cls, x.i64(), in.unsigned)}
 				}
 
 			case opGEPStore:
-				addr := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
-				v := &regs[in.c]
-				if v.Fl {
-					m.setCell(addr, cell{F: v.F, Fl: true})
+				m.setCell(iv(&regs[in.a])+iv(&regs[in.b])*in.scale+in.off, scalar(&regs[in.c]))
+
+			case opLoadConvGEP:
+				x := m.cellAt(iv(&regs[in.a]))
+				if isFloat(in.cls) {
+					x = cell{F: x.f64(), Fl: true}
 				} else {
-					m.setCell(addr, cell{I: v.I})
+					x = cell{I: trunc(in.cls, x.i64(), in.unsigned)}
+				}
+				if isFloat(in.cls2) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls2, x.i64(), in.unsigned2)}
+				}
+				regs[in.dst] = Val{I: gepAt(in, x.i64(), iv(&regs[in.b]))}
+
+			case opIAddStore:
+				a, b := &regs[in.a], &regs[in.b]
+				var x cell
+				if a.Fl || b.Fl {
+					x = cell{F: fl(a) + fl(b), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls, a.I+b.I, in.unsigned)}
+				}
+				m.setCell(iv(&regs[in.c]), x)
+
+			case opFMulFAdd:
+				// The conversion rounds the product, as fmul's register
+				// write does: without it the Go compiler may fuse x*y+o
+				// into one FMA (arm64, GOAMD64=v3), rounding once.
+				x, o := float64(fl(&regs[in.a])*fl(&regs[in.b])), fl(&regs[in.c])
+				if in.pos == 0 {
+					regs[in.dst] = Val{F: x + o, Fl: true}
+				} else {
+					regs[in.dst] = Val{F: o + x, Fl: true}
 				}
 
-			case opGEPVecLoad:
-				base := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
-				ls := lanes(in)
-				stride := int64(in.cls.Size())
-				if in.cls.IsFloat() {
-					for l := range ls {
-						c := m.cellAt(base + int64(l)*stride)
-						if c.Fl {
-							ls[l] = Val{F: c.F, Fl: true}
-						} else {
-							ls[l] = Val{F: float64(c.I), Fl: true}
-						}
-					}
-				} else {
-					for l := range ls {
-						ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
-					}
-				}
-				regs[in.dst] = Val{Vec: ls}
-
-			case opGEPVecStore:
-				base := iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off
+			case opSelectConv:
 				v := &regs[in.c]
-				stride := int64(in.cls.Size())
-				for l := 0; l < in.width && l < len(v.Vec); l++ {
-					lane := &v.Vec[l]
-					if lane.Fl {
-						m.setCell(base+int64(l)*stride, cell{F: lane.F, Fl: true})
-					} else {
-						m.setCell(base+int64(l)*stride, cell{I: lane.I})
-					}
+				if iv(&regs[in.a]) != 0 {
+					v = &regs[in.b]
 				}
+				if isFloat(in.cls) {
+					regs[in.dst] = Val{F: fl(v), Fl: true}
+				} else {
+					regs[in.dst] = Val{I: trunc(in.cls, iv(v), in.unsigned)}
+				}
+
+			case opLoadCmpBr:
+				x := m.cellAt(iv(&regs[in.a]))
+				if isFloat(in.cls) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls, x.i64(), in.unsigned)}
+				}
+				if compareAt(in, x, scalar(&regs[in.b])) {
+					pc = int(in.target)
+				} else {
+					pc = int(in.elseT)
+				}
+				continue seg
 
 			case opRet:
 				rv = cloneVec(regs[in.a])
@@ -813,23 +820,12 @@ seg:
 				goto out
 
 			case opUBCheck:
-				p1 := iv(&regs[in.a])
-				p2 := iv(&regs[in.b])
-				if p1 == p2 {
-					m.SanFailures = append(m.SanFailures,
-						&interp.SanitizerFailure{Fn: fc.name, Addr: p1, Meta: in.meta})
-				}
+				pc = m.ubcheckRun(fc, regs, pc, end)
 
 			case opMemset:
 				ptr := iv(&regs[in.a])
-				v := &regs[in.b]
+				c := scalar(&regs[in.b])
 				length := iv(&regs[in.c])
-				var c cell
-				if v.Fl {
-					c = cell{F: v.F, Fl: true}
-				} else {
-					c = cell{I: v.I}
-				}
 				for off := int64(0); off < length; off += in.scale {
 					m.setCell(ptr+off, c)
 				}
@@ -844,18 +840,16 @@ seg:
 				}
 				cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
 
-			case opVecLoad:
+			case opVecLoad, opGEPVecLoad:
 				base := iv(&regs[in.a])
+				if in.op == opGEPVecLoad {
+					base += iv(&regs[in.b])*in.scale + in.off
+				}
 				ls := lanes(in)
-				stride := int64(in.cls.Size())
-				if in.cls.IsFloat() {
+				stride := int64(ir.Class(in.cls).Size())
+				if isFloat(in.cls) {
 					for l := range ls {
-						c := m.cellAt(base + int64(l)*stride)
-						if c.Fl {
-							ls[l] = Val{F: c.F, Fl: true}
-						} else {
-							ls[l] = Val{F: float64(c.I), Fl: true}
-						}
+						ls[l] = Val{F: m.cellAt(base + int64(l)*stride).f64(), Fl: true}
 					}
 				} else {
 					for l := range ls {
@@ -864,17 +858,15 @@ seg:
 				}
 				regs[in.dst] = Val{Vec: ls}
 
-			case opVecStore:
+			case opVecStore, opGEPVecStore:
 				base := iv(&regs[in.a])
-				v := &regs[in.b]
-				stride := int64(in.cls.Size())
-				for l := 0; l < in.width && l < len(v.Vec); l++ {
-					lane := &v.Vec[l]
-					if lane.Fl {
-						m.setCell(base+int64(l)*stride, cell{F: lane.F, Fl: true})
-					} else {
-						m.setCell(base+int64(l)*stride, cell{I: lane.I})
-					}
+				if in.op == opGEPVecStore {
+					base += iv(&regs[in.b])*in.scale + in.off
+				}
+				v := &regs[in.c]
+				stride := int64(ir.Class(in.cls).Size())
+				for l := 0; l < int(in.width) && l < len(v.Vec); l++ {
+					m.setCell(base+int64(l)*stride, scalar(&v.Vec[l]))
 				}
 
 			case opVecSplat:
@@ -892,7 +884,7 @@ seg:
 				// (ir.FoldFloat) unrolled per opcode, one slice allocation.
 				a, b := &regs[in.a], &regs[in.b]
 				lanes := lanes(in)
-				switch in.vecOp {
+				switch ir.Op(in.vecOp) {
 				case ir.OpAdd:
 					for l := range lanes {
 						lanes[l] = Val{F: laneF(a, l) + laneF(b, l), Fl: true}
@@ -920,7 +912,7 @@ seg:
 				// Float add-reduction; a 1-wide reduce returns lane 0
 				// untouched (interp folds from lane 0 without converting it).
 				a := &regs[in.a]
-				if in.width == 1 {
+				if int(in.width) == 1 {
 					if a.Vec == nil {
 						regs[in.dst] = *a
 					} else if len(a.Vec) > 0 {
@@ -930,7 +922,7 @@ seg:
 					}
 				} else {
 					acc := laneF(a, 0)
-					for l := 1; l < in.width; l++ {
+					for l := 1; l < int(in.width); l++ {
 						acc += laneF(a, l)
 					}
 					regs[in.dst] = Val{F: acc, Fl: true}
@@ -943,8 +935,8 @@ seg:
 				// add/sub/mul that is just the float op).
 				a, b := &regs[in.a], &regs[in.b]
 				ls := lanes(in)
-				i64 := in.cls == ir.I64
-				switch in.vecOp {
+				i64 := ir.Class(in.cls) == ir.I64
+				switch ir.Op(in.vecOp) {
 				case ir.OpAdd:
 					for l := range ls {
 						la, lb := lanePtr(a, l), lanePtr(b, l)
@@ -953,7 +945,7 @@ seg:
 						} else if i64 {
 							ls[l] = Val{I: la.I + lb.I}
 						} else {
-							ls[l] = Val{I: ir.TruncInt(in.cls, la.I+lb.I, in.unsigned)}
+							ls[l] = Val{I: trunc(in.cls, la.I+lb.I, in.unsigned)}
 						}
 					}
 					regs[in.dst] = Val{Vec: ls}
@@ -966,7 +958,7 @@ seg:
 						} else if i64 {
 							ls[l] = Val{I: la.I - lb.I}
 						} else {
-							ls[l] = Val{I: ir.TruncInt(in.cls, la.I-lb.I, in.unsigned)}
+							ls[l] = Val{I: trunc(in.cls, la.I-lb.I, in.unsigned)}
 						}
 					}
 					regs[in.dst] = Val{Vec: ls}
@@ -979,7 +971,7 @@ seg:
 						} else if i64 {
 							ls[l] = Val{I: la.I * lb.I}
 						} else {
-							ls[l] = Val{I: ir.TruncInt(in.cls, la.I*lb.I, in.unsigned)}
+							ls[l] = Val{I: trunc(in.cls, la.I*lb.I, in.unsigned)}
 						}
 					}
 					regs[in.dst] = Val{Vec: ls}
@@ -988,14 +980,14 @@ seg:
 				for l := range ls {
 					la, lb := lanePtr(a, l), lanePtr(b, l)
 					if la.Fl || lb.Fl {
-						v, serr := interp.ScalarBin(in.vecOp, in.cls, *la, *lb, in.unsigned)
+						v, serr := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), *la, *lb, in.unsigned)
 						if serr != nil {
 							err = fmt.Errorf("vm: %v in %s", serr, fc.name)
 							goto fail
 						}
 						ls[l] = v
 					} else {
-						ls[l] = Val{I: ir.FoldInt(in.vecOp, in.cls, la.I, lb.I, in.unsigned)}
+						ls[l] = Val{I: ir.FoldInt(ir.Op(in.vecOp), ir.Class(in.cls), la.I, lb.I, in.unsigned)}
 					}
 				}
 				regs[in.dst] = Val{Vec: ls}
@@ -1008,9 +1000,9 @@ seg:
 					la, lb := lanePtr(a, l), lanePtr(b, l)
 					var r bool
 					if la.Fl || lb.Fl {
-						r = ir.CompareFloat(in.pred, fl(la), fl(lb))
+						r = ir.CompareFloat(ir.Pred(in.pred), fl(la), fl(lb))
 					} else {
-						r = ir.CompareInt(in.pred, la.I, lb.I, in.unsigned)
+						r = ir.CompareInt(ir.Pred(in.pred), la.I, lb.I, in.unsigned)
 					}
 					ls[l] = Val{I: b2i(r)}
 				}
@@ -1019,12 +1011,12 @@ seg:
 			case opVecBin:
 				a, b := regs[in.a], regs[in.b]
 				lanes := lanes(in)
-				for l := 0; l < in.width; l++ {
+				for l := 0; l < int(in.width); l++ {
 					la, lb := interp.Lane(a, l), interp.Lane(b, l)
-					if in.vecOp == ir.OpCmp {
-						lanes[l] = interp.IV(b2i(interp.CompareVals(in.pred, la, lb, in.unsigned)))
+					if ir.Op(in.vecOp) == ir.OpCmp {
+						lanes[l] = interp.IV(b2i(interp.CompareVals(ir.Pred(in.pred), la, lb, in.unsigned)))
 					} else {
-						v, serr := interp.ScalarBin(in.vecOp, in.cls, la, lb, in.unsigned)
+						v, serr := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), la, lb, in.unsigned)
 						if serr != nil {
 							err = fmt.Errorf("vm: %v in %s", serr, fc.name)
 							goto fail
@@ -1037,8 +1029,8 @@ seg:
 			case opVecReduce:
 				a := regs[in.a]
 				acc := interp.Lane(a, 0)
-				for l := 1; l < in.width; l++ {
-					v, serr := interp.ScalarBin(in.vecOp, in.cls, acc, interp.Lane(a, l), in.unsigned)
+				for l := 1; l < int(in.width); l++ {
+					v, serr := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), acc, interp.Lane(a, l), in.unsigned)
 					if serr != nil {
 						err = fmt.Errorf("vm: %v in %s", serr, fc.name)
 						goto fail
@@ -1050,7 +1042,7 @@ seg:
 			case opVecIota:
 				lanes := lanes(in)
 				for l := range lanes {
-					if in.cls.IsFloat() {
+					if isFloat(in.cls) {
 						lanes[l] = interp.FV(float64(l))
 					} else {
 						lanes[l] = interp.IV(int64(l))
@@ -1061,7 +1053,7 @@ seg:
 			case opVecSelect:
 				mask, x, y := regs[in.a], regs[in.b], regs[in.c]
 				lanes := lanes(in)
-				for l := 0; l < in.width; l++ {
+				for l := 0; l < int(in.width); l++ {
 					if interp.Lane(mask, l).AsInt() != 0 {
 						lanes[l] = interp.Lane(x, l)
 					} else {
@@ -1071,38 +1063,42 @@ seg:
 				regs[in.dst] = Val{Vec: lanes}
 
 			case opVecCall:
-				argv := gatherInto(fr, in.xargs, false)
+				co := &fc.cold[in.cold]
+				argv := gatherInto(fr, co.xargs, false)
 				if cap(fr.vecArgBuf) < len(argv) {
 					fr.vecArgBuf = make([]Val, len(argv))
 				}
 				laneArgs := fr.vecArgBuf[:len(argv)]
 				lanes := lanes(in)
-				for l := 0; l < in.width; l++ {
+				for l := 0; l < int(in.width); l++ {
 					for ai := range argv {
 						laneArgs[ai] = interp.Lane(argv[ai], l)
 					}
-					v, ok, berr := interp.CallBuiltin(in.callee, laneArgs)
+					v, ok, berr := interp.CallBuiltin(co.name, laneArgs)
 					if !ok || berr != nil {
-						err = fmt.Errorf("vm: bad vcall %s", in.callee)
+						err = fmt.Errorf("vm: bad vcall %s", co.name)
 						goto fail
 					}
 					lanes[l] = v
 				}
-				cycles += m.mc.VecCallLane * int64(in.width)
+				cycles += m.mc.VecCallLane * int64(int(in.width))
 				regs[in.dst] = Val{Vec: lanes}
 
 			default: // opUnhandled, opInvalid
-				err = fmt.Errorf("vm: unhandled op %s", in.irOp)
+				err = fmt.Errorf("vm: unhandled op %s", ir.Op(in.scale))
 				goto fail
 			}
 		}
 		if trip {
-			// The tripping step counts as a step but retires nothing,
-			// exactly like the interpreter's pre-retire budget check.
-			if half {
-				executed++
-				cycles += m.costTab[code[pc].costK] + m.pen[fc.idx]
+			// The halves of a tripping chain that fit retire and pay their
+			// cost kinds, but nothing executes: each half but a chain's last
+			// only writes a dead register. The tripping step counts as a
+			// step but retires nothing, exactly like the interpreter's
+			// pre-retire budget check.
+			for _, k := range code[pc].costK[:fit] {
+				cycles += m.costTab[k] + m.pen[fc.idx]
 			}
+			executed += int64(fit)
 			bias++
 			err = fmt.Errorf("vm: step budget exceeded")
 			goto out
@@ -1117,16 +1113,91 @@ out:
 	return rv, err
 }
 
+// ubcheckRun executes the ubcheck at pc and every ubcheck that directly
+// follows it before end, in one dispatch, and returns the last one's pc.
+// Each keeps its pc, step and cost, and a budget trip or profiling
+// shortens end, so both still see every check. It stays out of callFn:
+// a loop inside the dispatch switch costs every other handler (DESIGN.md
+// §9).
+//
+//go:noinline
+func (m *Machine) ubcheckRun(fc *fnCode, regs []Val, pc, end int) int {
+	for {
+		in := &fc.code[pc]
+		if p := iv(&regs[in.a]); p == iv(&regs[in.b]) {
+			m.SanFailures = append(m.SanFailures,
+				&interp.SanitizerFailure{Fn: fc.name, Addr: p, Meta: int(in.off)})
+		}
+		if pc+1 == end || fc.code[pc+1].op != opUBCheck {
+			return pc
+		}
+		pc++
+	}
+}
+
 // tripPoint finds where a step budget with room for r more steps runs
 // out inside the segment [s, end): the pc t whose dispatch would take the
-// tripping step. half reports that t is a fused pair whose first half
-// still fits.
-func tripPoint(stepPre []int32, s, end int, r int64) (t int, half bool) {
+// tripping step. fit counts the leading halves of a fused chain at t
+// that still fit, 0 for a single instruction.
+func tripPoint(stepPre []int32, s, end int, r int64) (t, fit int) {
 	t = s
 	for t < end && int64(stepPre[t+1]-stepPre[s]) <= r {
 		t++
 	}
-	return t, int64(stepPre[t]-stepPre[s]) < r
+	return t, int(r - int64(stepPre[t]-stepPre[s]))
+}
+
+// scalar is a register value as a memory cell holds it: the payload its
+// flag selects, the other half zero. Fused chains keep their
+// intermediates in this form too.
+func scalar(v *Val) cell {
+	if v.Fl {
+		return cell{F: v.F, Fl: true}
+	}
+	return cell{I: v.I}
+}
+
+// f64 reads c as float64, i64 as int64 through the canonical saturating
+// rule: fl and iv on a cell.
+func (c cell) f64() float64 {
+	if c.Fl {
+		return c.F
+	}
+	return float64(c.I)
+}
+
+func (c cell) i64() int64 {
+	if c.Fl {
+		return ir.FloatToInt(c.F)
+	}
+	return c.I
+}
+
+func isFloat(cls uint8) bool { return ir.Class(cls).IsFloat() }
+
+func trunc(cls uint8, x int64, unsigned bool) int64 {
+	return ir.TruncInt(ir.Class(cls), x, unsigned)
+}
+
+// compareAt is a fused cmp's result: x, the value the chain produced,
+// is its operand in.pos and o the other.
+func compareAt(in *instr, x, o cell) bool {
+	if in.pos != 0 {
+		x, o = o, x
+	}
+	if x.Fl || o.Fl {
+		return ir.CompareFloat(ir.Pred(in.pred), x.f64(), o.f64())
+	}
+	return ir.CompareInt(ir.Pred(in.pred), x.I, o.I, in.unsigned2)
+}
+
+// gepAt is a fused gep's address: x, the value the chain produced, is
+// its operand in.pos and o the other.
+func gepAt(in *instr, x, o int64) int64 {
+	if in.pos == 0 {
+		return x + o*in.scale + in.off
+	}
+	return o + x*in.scale + in.off
 }
 
 func b2i(b bool) int64 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/ooe"
 	"repro/internal/parser"
 	"repro/internal/sema"
+	"repro/internal/token"
 )
 
 // buildModule mirrors the interpreter's test module: f(x) = x*3 + g,
@@ -278,5 +280,131 @@ int main() {
 	}
 	if mv.nextAddr != p.memTop {
 		t.Errorf("allocator at %#x after main returned, want %#x", mv.nextAddr, p.memTop)
+	}
+}
+
+// TestInstrSize pins the dispatched record's size: every handler reads
+// it, so it must stay within 72 bytes (nine words) as chains add fields.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(instr{}); n > 72 {
+		t.Errorf("instr is %d bytes, want at most 72", n)
+	}
+}
+
+// opsOf returns the op names of a compiled function's code.
+func opsOf(p *Program, fn string) []string {
+	var ops []string
+	for _, in := range p.byName[fn].code {
+		ops = append(ops, opTable[in.op].name)
+	}
+	return ops
+}
+
+// TestMetadataUseDoesNotBlockFusion: a mustnotalias intrinsic emits no
+// code and nothing reads a register through it, so a gep whose only
+// other use is one still fuses into its load.
+func TestMetadataUseDoesNotBlockFusion(t *testing.T) {
+	m := &ir.Module{Name: "t"}
+	a := &ir.Global{Name: "a", Size: 64, ElemClass: ir.I64}
+	bg := &ir.Global{Name: "b", Size: 64, ElemClass: ir.I64}
+	m.Globals = append(m.Globals, a, bg)
+	f := &ir.Func{Name: "f", Ret: ir.I64}
+	i := &ir.Param{Name: "i", Cls: ir.I64, Idx: 0}
+	f.Params = []*ir.Param{i}
+	b := f.NewBlock("entry")
+	p := b.Append(&ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{a, i}})
+	b.Append(&ir.Instr{Op: ir.OpMustNotAlias, Cls: ir.Void, Args: []ir.Value{p, bg}})
+	v := b.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{p}})
+	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{v}})
+	m.Funcs = append(m.Funcs, f)
+
+	if got, want := strings.Join(opsOf(Compile(m), "f"), " "), "gep_load ret"; got != want {
+		t.Errorf("code = %s, want %s", got, want)
+	}
+	if _, err := runBoth(t, m, "f", 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFusionStaysOnOneLine: instructions from two source lines never
+// share a pc, so a profile sample's line covers all it executed.
+func TestFusionStaysOnOneLine(t *testing.T) {
+	m := &ir.Module{Name: "t"}
+	a := &ir.Global{Name: "a", Size: 64, ElemClass: ir.I64}
+	m.Globals = append(m.Globals, a)
+	f := &ir.Func{Name: "f", Ret: ir.I64}
+	i := &ir.Param{Name: "i", Cls: ir.I64, Idx: 0}
+	f.Params = []*ir.Param{i}
+	b := f.NewBlock("entry")
+	at := func(line int, in *ir.Instr) *ir.Instr {
+		in.Span.Start = token.Pos{File: "t.c", Line: line, Col: 1}
+		return b.Append(in)
+	}
+	p := at(1, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{a, i}})
+	v := at(2, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{p}})
+	c := at(2, &ir.Instr{Op: ir.OpConvert, Cls: ir.I32, Args: []ir.Value{v}})
+	q := at(2, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{a, c}})
+	at(2, &ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{q}})
+	m.Funcs = append(m.Funcs, f)
+
+	if got, want := strings.Join(opsOf(Compile(m), "f"), " "), "gep load_conv_gep ret"; got != want {
+		t.Errorf("code = %s, want %s", got, want)
+	}
+	if _, err := runBoth(t, m, "f", 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChainPrefixSplits: a load_conv or load_cmp prefix has no handler,
+// so when no third instruction extends it the compiler emits its two
+// halves apart.
+func TestChainPrefixSplits(t *testing.T) {
+	m := &ir.Module{Name: "t"}
+	a := &ir.Global{Name: "a", Size: 8, ElemClass: ir.I64,
+		Init: map[int]ir.InitVal{0: {Cls: ir.I64, I: 1 << 40}}}
+	m.Globals = append(m.Globals, a)
+	f := &ir.Func{Name: "f", Ret: ir.I64}
+	b := f.NewBlock("entry")
+	v := b.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{a}})
+	c := b.Append(&ir.Instr{Op: ir.OpConvert, Cls: ir.I32, Args: []ir.Value{v}})
+	w := b.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{a}})
+	lt := b.Append(&ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{c, w}})
+	s := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{lt, c}})
+	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{s}})
+	m.Funcs = append(m.Funcs, f)
+
+	if got, want := strings.Join(opsOf(Compile(m), "f"), " "), "load convert load cmp iadd ret"; got != want {
+		t.Errorf("code = %s, want %s", got, want)
+	}
+	if res, err := runBoth(t, m, "f"); err != nil || res != 1 {
+		t.Fatalf("f() = %d, %v, want 1", res, err)
+	}
+}
+
+// TestFMulFAddRoundsTheProduct: fmul_fadd rounds the product before it
+// adds, as the interpreter's fmul and fadd do. With x = 1+2^-27 and
+// c = -(1+2^-26), x*x+c is 0 with the product rounded and 2^-54 in one
+// fused multiply-add, which the Go compiler may emit for x*y+z on arm64
+// or with GOAMD64=v3.
+func TestFMulFAddRoundsTheProduct(t *testing.T) {
+	m := &ir.Module{Name: "t"}
+	f := &ir.Func{Name: "f", Ret: ir.I64}
+	b := f.NewBlock("entry")
+	x, c := ir.ConstFloat(ir.F64, 1+0x1p-27), ir.ConstFloat(ir.F64, -(1+0x1p-26))
+	p0 := b.Append(&ir.Instr{Op: ir.OpMul, Cls: ir.F64, Args: []ir.Value{x, x}})
+	s0 := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.F64, Args: []ir.Value{p0, c}})
+	p1 := b.Append(&ir.Instr{Op: ir.OpMul, Cls: ir.F64, Args: []ir.Value{x, x}})
+	s1 := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.F64, Args: []ir.Value{c, p1}})
+	s := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.F64, Args: []ir.Value{s0, s1}})
+	scaled := b.Append(&ir.Instr{Op: ir.OpMul, Cls: ir.F64, Args: []ir.Value{s, ir.ConstFloat(ir.F64, 0x1p54)}})
+	r := b.Append(&ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{scaled}})
+	b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{r}})
+	m.Funcs = append(m.Funcs, f)
+
+	if got := strings.Count(strings.Join(opsOf(Compile(m), "f"), " "), "fmul_fadd"); got != 2 {
+		t.Errorf("code has %d fmul_fadd pcs, want 2", got)
+	}
+	if res, err := runBoth(t, m, "f"); err != nil || res != 0 {
+		t.Fatalf("f() = %d, %v, want 0", res, err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -125,7 +126,7 @@ func TestProfileAttributionParity(t *testing.T) {
 				t.Errorf("engine attribution divergence: tree=%d vm=%d milli-cycles", tSum, vSum)
 			}
 			// Retire counts differ only by fusion: each fused pc
-			// retires once but covers two IR instructions.
+			// retires once but covers two or three IR instructions.
 			if got, want := vProf.TotalRetired()+fusedSavings(vProf), tProf.TotalRetired(); got != want {
 				t.Errorf("retire divergence: vm %d + fused %d = %d, tree %d",
 					vProf.TotalRetired(), fusedSavings(vProf), got, want)
@@ -135,13 +136,14 @@ func TestProfileAttributionParity(t *testing.T) {
 }
 
 // fusedSavings counts retires the vm saved through superinstruction
-// fusion (each fused dispatch covers two IR instructions).
+// fusion: a fused chain's dispatch covers vm.OpSteps IR instructions
+// but retires once.
 func fusedSavings(p *profile.Profile) int64 {
+	steps := vm.OpSteps()
 	var n int64
 	for i := range p.Samples {
-		switch p.Samples[i].Op {
-		case "cmp_br", "gep_load", "gep_store", "gep_vec_load", "gep_vec_store":
-			n += p.Samples[i].Retired
+		if k := steps[p.Samples[i].Op]; k > 1 {
+			n += int64(k-1) * p.Samples[i].Retired
 		}
 	}
 	return n
@@ -286,7 +288,8 @@ func TestVMOpMixTelemetry(t *testing.T) {
 		t.Errorf("opcode-mix sum %d != profile retired %d", opSum, prof.TotalRetired())
 	}
 	// Executed counts IR instructions; the op mix counts dispatches, so
-	// each fused superinstruction appears once but executed twice.
+	// each fused chain appears once but counts one execution per IR
+	// instruction.
 	if got := opSum + fusedSavings(prof); got != executed {
 		t.Errorf("op mix %d + fused %d = %d != instrs_executed %d",
 			opSum, fusedSavings(prof), got, executed)
