@@ -123,49 +123,43 @@ func CompareFloat(p Pred, a, b float64) bool {
 
 // CompareInt applies a comparison predicate to canonical 64-bit integer
 // values. unsigned switches the ordered predicates to unsigned
-// semantics; the U-preds are unsigned regardless.
+// semantics; the U-preds are unsigned regardless. It is written to
+// inline, since the vm's compare handlers run it on every integer
+// compare: the predicate selects which of less, equal and greater
+// satisfy it (intPredSets), and an unsigned compare flips both sign
+// bits, which orders unsigned values as signed ones.
 func CompareInt(p Pred, a, b int64, unsigned bool) bool {
-	if unsigned {
-		ua, ub := uint64(a), uint64(b)
-		switch p {
-		case Eq:
-			return ua == ub
-		case Ne:
-			return ua != ub
-		case Lt, ULt:
-			return ua < ub
-		case Le, ULe:
-			return ua <= ub
-		case Gt, UGt:
-			return ua > ub
-		case Ge, UGe:
-			return ua >= ub
-		}
-		return false
+	var set uint8
+	if uint(p) < uint(len(intPredSets)) {
+		set = intPredSets[p]
 	}
-	switch p {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	case ULt:
-		return uint64(a) < uint64(b)
-	case ULe:
-		return uint64(a) <= uint64(b)
-	case UGt:
-		return uint64(a) > uint64(b)
-	case UGe:
-		return uint64(a) >= uint64(b)
+	if unsigned || set&cmpUnsigned != 0 {
+		a, b = a^math.MinInt64, b^math.MinInt64
 	}
-	return false
+	o := cmpEq
+	if a < b {
+		o = cmpLt
+	} else if a > b {
+		o = cmpGt
+	}
+	return set&o != 0
+}
+
+// The outcome bits of intPredSets, and the flag of the unsigned
+// predicates.
+const (
+	cmpLt uint8 = 1 << iota
+	cmpEq
+	cmpGt
+	cmpUnsigned
+)
+
+// intPredSets maps each predicate to the outcomes that satisfy it.
+var intPredSets = [...]uint8{
+	Eq: cmpEq, Ne: cmpLt | cmpGt,
+	Lt: cmpLt, Le: cmpLt | cmpEq, Gt: cmpGt, Ge: cmpGt | cmpEq,
+	ULt: cmpLt | cmpUnsigned, ULe: cmpLt | cmpEq | cmpUnsigned,
+	UGt: cmpGt | cmpUnsigned, UGe: cmpGt | cmpEq | cmpUnsigned,
 }
 
 // FoldInt applies an integer binary opcode with the pinned edge-case

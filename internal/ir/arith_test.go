@@ -82,3 +82,66 @@ func TestCompareIntUnsignedPreds(t *testing.T) {
 		t.Error("Lt with unsigned flag: 1 <u -1 must hold")
 	}
 }
+
+// compareIntRef is CompareInt written as one case per predicate.
+func compareIntRef(p Pred, a, b int64, unsigned bool) bool {
+	if unsigned {
+		ua, ub := uint64(a), uint64(b)
+		switch p {
+		case Eq:
+			return ua == ub
+		case Ne:
+			return ua != ub
+		case Lt, ULt:
+			return ua < ub
+		case Le, ULe:
+			return ua <= ub
+		case Gt, UGt:
+			return ua > ub
+		case Ge, UGe:
+			return ua >= ub
+		}
+		return false
+	}
+	switch p {
+	case Eq:
+		return a == b
+	case Ne:
+		return a != b
+	case Lt:
+		return a < b
+	case Le:
+		return a <= b
+	case Gt:
+		return a > b
+	case Ge:
+		return a >= b
+	case ULt:
+		return uint64(a) < uint64(b)
+	case ULe:
+		return uint64(a) <= uint64(b)
+	case UGt:
+		return uint64(a) > uint64(b)
+	case UGe:
+		return uint64(a) >= uint64(b)
+	}
+	return false
+}
+
+// TestCompareIntMatchesReference checks CompareInt against the
+// predicate-by-predicate reference on every predicate, an out-of-range
+// one, both values of the unsigned flag and the edge values of int64.
+func TestCompareIntMatchesReference(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MinInt64 + 1, -2, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64}
+	for p := Eq; p <= UGe+1; p++ {
+		for _, u := range []bool{false, true} {
+			for _, a := range vals {
+				for _, b := range vals {
+					if got, want := CompareInt(p, a, b, u), compareIntRef(p, a, b, u); got != want {
+						t.Fatalf("CompareInt(%d, %d, %d, %v) = %v, want %v", p, a, b, u, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -285,3 +285,100 @@ func TestStepBudget(t *testing.T) {
 		})
 	}
 }
+
+// faultModule builds a main whose entry block is one segment around a
+// faulting instruction: a load and an add before it, and an add, a
+// store and the return after it, which the fault keeps from retiring.
+// fault appends the instruction, reading the add's result, to b, and may
+// add functions to m; it returns nil for a block that falls through,
+// which then ends where fault left it.
+func faultModule(fault func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value) *ir.Module {
+	m := &ir.Module{Name: "fault"}
+	g := &ir.Global{Name: "g", Size: 8, ElemClass: ir.I64,
+		Init: map[int]ir.InitVal{0: {Cls: ir.I64, I: 6}}}
+	m.Globals = append(m.Globals, g)
+	f := &ir.Func{Name: "main", Ret: ir.I64}
+	b := f.NewBlock("entry")
+	x := b.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{g}})
+	y := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{x, ir.ConstInt(ir.I64, 1)}})
+	if r := fault(m, b, y); r != nil {
+		s := b.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{r, y}})
+		b.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{g, s}})
+		b.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{s}})
+	}
+	m.Funcs = append(m.Funcs, f)
+	return m
+}
+
+// TestHandlerErrorCharges runs programs whose handlers fail in the
+// middle of a segment, after other instructions of it, on both engines,
+// profiling off (the segment was charged whole on entry) and on (one pc
+// per segment). A failing instruction retires, and nothing after it
+// does, so the engines must agree on the error, the retired count, the
+// exact milli-cycles and the profile's attributed total. The icache
+// penalty is on, so un-charging covers it too.
+func TestHandlerErrorCharges(t *testing.T) {
+	i64 := func(v int64) ir.Value { return ir.ConstInt(ir.I64, v) }
+	bin := func(op ir.Op, cls ir.Class, a, b ir.Value) *ir.Instr {
+		return &ir.Instr{Op: op, Cls: cls, Args: []ir.Value{a, b}}
+	}
+	cases := []struct {
+		name, want string
+		fault      func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value
+	}{
+		{"division-by-zero", "division by zero in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			return b.Append(bin(ir.OpDiv, ir.I64, x, i64(0)))
+		}},
+		{"float-tagged-bitwise", "bitwise op and on float operands in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			h := b.Append(bin(ir.OpMul, ir.F64, x, ir.ConstFloat(ir.F64, 0.5)))
+			return b.Append(bin(ir.OpAnd, ir.I64, x, h))
+		}},
+		{"float-class-bitwise", "bitwise op xor on float operands in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			return b.Append(bin(ir.OpXor, ir.F64, x, i64(3)))
+		}},
+		{"undefined-callee", `call to undefined "nowhere" from main`, func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			return b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Callee: "nowhere", Args: []ir.Value{x}})
+		}},
+		{"bad-indirect-call", "bad indirect call in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			return b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Args: []ir.Value{i64(0), x}})
+		}},
+		{"fell-through", "block entry0 fell through in main", func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			b.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{m.Globals[0], x}})
+			return nil
+		}},
+		{"callee-error", "division by zero in inner", func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			inner := &ir.Func{Name: "inner", Ret: ir.I64}
+			p := &ir.Param{Name: "p", Cls: ir.I64, Idx: 0}
+			inner.Params = []*ir.Param{p}
+			ib := inner.NewBlock("entry")
+			s := ib.Append(bin(ir.OpSub, ir.I64, p, i64(2)))
+			q := ib.Append(bin(ir.OpRem, ir.I64, s, i64(0)))
+			r := ib.Append(bin(ir.OpMul, ir.I64, q, s))
+			ib.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{r}})
+			m.Funcs = append(m.Funcs, inner)
+			return b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Callee: "inner", Args: []ir.Value{x}})
+		}},
+	}
+	costs := interp.DefaultCosts()
+	costs.ICacheThreshold = 2
+	callBase := costs.Milli().CallBase
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mod := faultModule(tc.fault)
+			prog := vm.Compile(mod)
+			for _, prof := range []bool{false, true} {
+				ti := runBudgeted(mod, prog, costs, true, math.MaxInt64, prof)
+				tv := runBudgeted(mod, prog, costs, false, math.MaxInt64, prof)
+				if tv.err != tc.want {
+					t.Fatalf("profile %v: vm error %q, want %q", prof, tv.err, tc.want)
+				}
+				if ti != tv {
+					t.Fatalf("profile %v: tree %+v, vm %+v", prof, ti, tv)
+				}
+				if prof && tv.profMilli != tv.milli-callBase {
+					t.Fatalf("profile attributes %d milli-cycles, want %d-%d", tv.profMilli, tv.milli, callBase)
+				}
+			}
+		})
+	}
+}

@@ -59,6 +59,11 @@ type Machine struct {
 
 	MaxSteps int64
 	steps    int64
+	// tripFit is set while callFn runs a segment that overruns MaxSteps:
+	// the number of a chain's leading halves that fit at the tripping pc,
+	// plus one. It is 0 otherwise, and callFn reads it only when it
+	// leaves a segment without a branch.
+	tripFit int
 
 	// Profile enables per-pc cycle/retire attribution. Set it before the
 	// first Run. When off the dispatch loop pays nothing beyond one nil
@@ -414,24 +419,35 @@ func cloneVec(v Val) Val {
 // interp.Machine.call + execBlock, with a flat pc loop over pre-resolved
 // branch targets.
 //
+// The loop is split into hot and cold code. Its switch holds the ops
+// that make up nearly all dispatches: loads, stores, geps, scalar
+// arithmetic, integer bitwise ops, compares, selects, converts,
+// branches, returns, the fused chains and ubcheck runs. Every other op
+// (calls, vector ops, memset/memcpy, allocas, div/rem, neg/not, traps)
+// runs in execCold, reached from the switch's default. The Go compiler
+// allocates registers over the whole switch and spills every value that
+// lives across it around each call a case makes, so the loop carries
+// only the machine, the function, its frame, registers and code, pc and
+// end. A new op goes to execCold unless its share of the dispatch mix
+// pays for a hot case, which costs every other handler (DESIGN.md §9).
+//
 // Accounting is charged per segment, not per dispatch. On entering a
 // segment (a block, or the pc after a call) the loop adds the segment's
-// steps and milli-cycles from the prefix sums in one go and checks the
-// step budget once; handlers only compute values and add their
-// data-dependent costs. Integer sums do not depend on grouping, so the
-// totals equal the interpreter's per-instruction additions exactly. The
-// edge cases keep that equality:
+// steps and milli-cycles from the prefix sums to the Machine's steps,
+// Executed and cycles in one go and checks the step budget once;
+// handlers only compute values and add their data-dependent costs to
+// m.cycles. Integer sums do not depend on grouping, so the totals equal
+// the interpreter's per-instruction additions exactly. Nothing is kept
+// in locals, so nothing is written back or reloaded around a nested
+// call: the callee adds to the same fields. The edge cases keep the
+// equality:
 //   - a segment that would overrun MaxSteps is charged only up to the
-//     tripping step, runs up to it, and traps there (a fused pair that
-//     trips on its second half pays for its first);
-//   - a handler error un-charges the rest of its segment;
+//     tripping step, runs up to it, and traps there (tripFit, trip; a
+//     fused pair that trips on its second half pays for its first);
+//   - a handler error un-charges the rest of its segment (fail);
 //   - with profiling on every pc is its own segment, so delta sampling
 //     sees each dispatch.
-//
-// The accounting state (steps, retired count, cycles) lives in locals
-// for the duration of the loop and is written back on exit and around
-// nested calls.
-func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, err error) {
+func (m *Machine) callFn(fc *fnCode, args []Val) (Val, error) {
 	m.cycles += m.mc.CallBase
 	if fc.empty {
 		return Val{}, fmt.Errorf("vm: empty function %s", fc.name)
@@ -446,74 +462,47 @@ func (m *Machine) callFn(fc *fnCode, args []Val) (rv Val, err error) {
 	for i := 0; i < fc.nParams && i < len(args); i++ {
 		regs[i] = args[i]
 	}
-	// Allocas are function-entry allocations, assigned lazily on first
-	// execution and reused on re-execution (the interpreter's
-	// frameAllocs); address 0 doubles as the unassigned sentinel since
-	// data addresses start at memBase.
-	allocas := fr.allocas
-	// Lane buffers are per (activation, vec instruction): the first
-	// execution allocates, re-executions rewrite in place. Safe because
-	// registers are SSA (an instruction never reads its own buffer while
-	// writing it) and every whole-value copy that could outlive the
-	// defining instruction goes through cloneVec.
-	vecBufs := fr.vecBufs
-	lanes := func(in *instr) []Val {
-		w := int(in.width)
-		b := vecBufs[in.aux]
-		if cap(b) < w {
-			b = make([]Val, w)
-			vecBufs[in.aux] = b
-		}
-		return b[:w:w]
-	}
 	code := fc.code
-	stepPre, segEnd := fc.steps, fc.segEnd
-	costPre := m.segCost[fc.idx]
-	prof := m.profCells
-	// steps and Executed advance in lockstep (a budget-tripping step is
-	// the one exception), so the loop keeps one counter and recovers
-	// steps from the bias on every write-back.
-	executed, cycles := m.Executed, m.cycles
-	bias := m.steps - executed
-	budget := m.MaxSteps - bias
 
-	pc, end, fit := 0, 0, 0
-	trip := false
+	pc, end := 0, 0
 seg:
 	for {
-		end = int(segEnd[pc])
-		if prof != nil {
+		// The head stays inline: a call here, even on a path that runs
+		// only with profiling or a trip, made the whole loop slower
+		// (EXPERIMENTS.md).
+		stepPre := fc.steps
+		end = int(fc.segEnd[pc])
+		if m.profCells != nil {
 			end = pc + 1
 		}
-		if executed+int64(stepPre[end]-stepPre[pc]) > budget {
-			end, fit = tripPoint(stepPre, pc, end, budget-executed)
-			trip = true
+		fit := 0
+		if m.steps+int64(stepPre[end]-stepPre[pc]) > m.MaxSteps {
+			end, fit = tripPoint(stepPre, pc, end, m.MaxSteps-m.steps)
+			m.tripFit = fit + 1
 		}
-		if prof != nil && (stepPre[end] > stepPre[pc] || fit > 0) {
+		if m.profCells != nil && (stepPre[end] > stepPre[pc] || fit > 0) {
 			// Delta sampling: everything added since the previous dispatch
 			// (its costs, handler-internal additions, a callee's CallBase)
 			// belongs to the previously executed pc.
 			if m.profLast >= 0 {
-				prof[m.profLast].cycles += cycles - m.profBase
+				m.profCells[m.profLast].cycles += m.cycles - m.profBase
 			}
-			m.profBase = cycles
+			m.profBase = m.cycles
 			m.profLast = fc.profOff + pc
-			prof[m.profLast].retired++
+			m.profCells[m.profLast].retired++
 		}
-		executed += int64(stepPre[end] - stepPre[pc])
-		cycles += costPre[end] - costPre[pc]
+		d := int64(stepPre[end] - stepPre[pc])
+		m.steps += d
+		m.Executed += d
+		costPre := m.segCost[fc.idx]
+		m.cycles += costPre[end] - costPre[pc]
 
-		for ; pc < end; pc++ {
-			in := &code[pc]
+		// The unsigned test lets the compiler drop the bounds check on
+		// run[pc].
+		run := code[:end]
+		for ; uint(pc) < uint(len(run)); pc++ {
+			in := &run[pc]
 			switch in.op {
-			case opAlloca:
-				a := allocas[in.aux]
-				if a == 0 {
-					a = m.alloc(in.scale)
-					allocas[in.aux] = a
-				}
-				regs[in.dst] = interp.IV(a)
-
 			case opLoad:
 				x := m.cellAt(iv(&regs[in.a]))
 				if isFloat(in.cls) {
@@ -568,48 +557,12 @@ seg:
 				}
 
 			case opIBits:
-				a, b := &regs[in.a], &regs[in.b]
-				if a.Fl || b.Fl {
-					err = fmt.Errorf("vm: bitwise op %s on float operands in %s", ir.Op(in.irOp), fc.name)
-					goto fail
-				}
-				regs[in.dst] = Val{I: ir.FoldInt(ir.Op(in.irOp), ir.Class(in.cls), a.I, b.I, in.unsigned)}
-
-			case opBin:
-				v, serr := interp.ScalarBin(ir.Op(in.irOp), ir.Class(in.cls), regs[in.a], regs[in.b], in.unsigned)
-				if serr != nil {
-					err = fmt.Errorf("vm: %v in %s", serr, fc.name)
-					goto fail
-				}
-				regs[in.dst] = v
-
-			case opDivRem:
-				a, b := &regs[in.a], &regs[in.b]
-				if !a.Fl && !b.Fl && b.I == 0 {
-					err = fmt.Errorf("vm: division by zero in %s", fc.name)
-					goto fail
-				}
-				if isFloat(in.cls) || a.Fl || b.Fl {
-					// ScalarBin's float path; Div/Rem never fail on floats.
-					if ir.Op(in.irOp) == ir.OpDiv {
-						regs[in.dst] = Val{F: fl(a) / fl(b), Fl: true}
-					} else {
-						regs[in.dst] = Val{F: math.Mod(fl(a), fl(b)), Fl: true}
-					}
-				} else {
+				// A float-tagged operand is an error, which execCold raises.
+				if a, b := &regs[in.a], &regs[in.b]; !a.Fl && !b.Fl {
 					regs[in.dst] = Val{I: ir.FoldInt(ir.Op(in.irOp), ir.Class(in.cls), a.I, b.I, in.unsigned)}
+				} else if err := m.execCold(fc, fr, in); err != nil {
+					return Val{}, m.fail(fc, pc, end, err)
 				}
-
-			case opNeg:
-				a := &regs[in.a]
-				if a.Fl {
-					regs[in.dst] = Val{F: -a.F, Fl: true}
-				} else {
-					regs[in.dst] = Val{I: trunc(in.cls, -a.I, in.unsigned)}
-				}
-
-			case opNot:
-				regs[in.dst] = Val{I: trunc(in.cls, ^iv(&regs[in.a]), in.unsigned)}
 
 			case opCmp:
 				a, b := &regs[in.a], &regs[in.b]
@@ -635,78 +588,6 @@ seg:
 				} else {
 					regs[in.dst] = Val{I: trunc(in.cls, iv(v), in.unsigned)}
 				}
-
-			case opCallFn:
-				m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
-				co := &fc.cold[in.cold]
-				v, cerr := m.callFn(co.fn, gatherInto(fr, co.xargs, true))
-				executed, cycles = m.Executed, m.cycles
-				bias = m.steps - executed
-				budget = m.MaxSteps - bias
-				if cerr != nil {
-					err = cerr
-					goto fail
-				}
-				if ir.Class(in.cls) != ir.Void {
-					regs[in.dst] = v
-				}
-
-			case opCallBuiltin:
-				co := &fc.cold[in.cold]
-				v, _, berr := interp.CallBuiltin(co.name, gatherInto(fr, co.xargs, false))
-				cycles += m.mc.BuiltinCall
-				if berr != nil {
-					err = berr
-					goto fail
-				}
-				if ir.Class(in.cls) != ir.Void {
-					regs[in.dst] = v
-				}
-
-			case opCallIndirect:
-				addr := iv(&regs[in.a])
-				name, ok := m.p.funcNames[addr]
-				if !ok {
-					err = fmt.Errorf("vm: bad indirect call in %s", fc.name)
-					goto fail
-				}
-				callArgs := gatherInto(fr, fc.cold[in.cold].xargs, true)
-				if v, isB, berr := interp.CallBuiltin(name, callArgs); isB {
-					cycles += m.mc.BuiltinCall
-					if berr != nil {
-						err = berr
-						goto fail
-					}
-					if ir.Class(in.cls) != ir.Void {
-						regs[in.dst] = v
-					}
-				} else if fn, ok := m.p.byName[name]; ok {
-					m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
-					v, cerr := m.callFn(fn, callArgs)
-					executed, cycles = m.Executed, m.cycles
-					bias = m.steps - executed
-					budget = m.MaxSteps - bias
-					if cerr != nil {
-						err = cerr
-						goto fail
-					}
-					if ir.Class(in.cls) != ir.Void {
-						regs[in.dst] = v
-					}
-				} else {
-					err = fmt.Errorf("vm: call to undefined %q from %s", name, fc.name)
-					goto fail
-				}
-
-			case opFellThrough:
-				// Not a real instruction (zero steps, zero cost): the
-				// interpreter errors after the block's last instruction.
-				err = fmt.Errorf("vm: block %s fell through in %s", fc.cold[in.cold].name, fc.name)
-				goto fail
-
-			case opCallUndefined:
-				err = fmt.Errorf("vm: call to undefined %q from %s", fc.cold[in.cold].name, fc.name)
-				goto fail
 
 			case opBr:
 				pc = int(in.target)
@@ -805,7 +686,17 @@ seg:
 				} else {
 					x = cell{I: trunc(in.cls, x.i64(), in.unsigned)}
 				}
-				if compareAt(in, x, scalar(&regs[in.b])) {
+				o := scalar(&regs[in.b])
+				if in.pos != 0 {
+					x, o = o, x
+				}
+				var r bool
+				if x.Fl || o.Fl {
+					r = ir.CompareFloat(ir.Pred(in.pred), x.f64(), o.f64())
+				} else {
+					r = ir.CompareInt(ir.Pred(in.pred), x.I, o.I, in.unsigned2)
+				}
+				if r {
 					pc = int(in.target)
 				} else {
 					pc = int(in.elseT)
@@ -813,304 +704,446 @@ seg:
 				continue seg
 
 			case opRet:
-				rv = cloneVec(regs[in.a])
-				goto out
+				return cloneVec(regs[in.a]), nil
 
 			case opRetVoid:
-				goto out
+				return Val{}, nil
 
 			case opUBCheck:
 				pc = m.ubcheckRun(fc, regs, pc, end)
 
-			case opMemset:
-				ptr := iv(&regs[in.a])
-				c := scalar(&regs[in.b])
-				length := iv(&regs[in.c])
-				for off := int64(0); off < length; off += in.scale {
-					m.setCell(ptr+off, c)
+			default:
+				if err := m.execCold(fc, fr, in); err != nil {
+					return Val{}, m.fail(fc, pc, end, err)
 				}
-				cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
-
-			case opMemcpy:
-				dst := iv(&regs[in.a])
-				src := iv(&regs[in.b])
-				length := iv(&regs[in.c])
-				for off := int64(0); off < length; off += in.scale {
-					m.setCell(dst+off, m.cellAt(src+off))
-				}
-				cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
-
-			case opVecLoad, opGEPVecLoad:
-				base := iv(&regs[in.a])
-				if in.op == opGEPVecLoad {
-					base += iv(&regs[in.b])*in.scale + in.off
-				}
-				ls := lanes(in)
-				stride := int64(ir.Class(in.cls).Size())
-				if isFloat(in.cls) {
-					for l := range ls {
-						ls[l] = Val{F: m.cellAt(base + int64(l)*stride).f64(), Fl: true}
-					}
-				} else {
-					for l := range ls {
-						ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
-					}
-				}
-				regs[in.dst] = Val{Vec: ls}
-
-			case opVecStore, opGEPVecStore:
-				base := iv(&regs[in.a])
-				if in.op == opGEPVecStore {
-					base += iv(&regs[in.b])*in.scale + in.off
-				}
-				v := &regs[in.c]
-				stride := int64(ir.Class(in.cls).Size())
-				for l := 0; l < int(in.width) && l < len(v.Vec); l++ {
-					m.setCell(base+int64(l)*stride, scalar(&v.Vec[l]))
-				}
-
-			case opVecSplat:
-				// Cloning here also launders any (degenerate) vector-of-vector
-				// lane: every Vec reachable from a lane value is immutable.
-				s := cloneVec(regs[in.a])
-				ls := lanes(in)
-				for l := range ls {
-					ls[l] = s
-				}
-				regs[in.dst] = Val{Vec: ls}
-
-			case opVecBinF:
-				// Float-class lane-wise arithmetic: the ScalarBin float path
-				// (ir.FoldFloat) unrolled per opcode, one slice allocation.
-				a, b := &regs[in.a], &regs[in.b]
-				lanes := lanes(in)
-				switch ir.Op(in.vecOp) {
-				case ir.OpAdd:
-					for l := range lanes {
-						lanes[l] = Val{F: laneF(a, l) + laneF(b, l), Fl: true}
-					}
-				case ir.OpSub:
-					for l := range lanes {
-						lanes[l] = Val{F: laneF(a, l) - laneF(b, l), Fl: true}
-					}
-				case ir.OpMul:
-					for l := range lanes {
-						lanes[l] = Val{F: laneF(a, l) * laneF(b, l), Fl: true}
-					}
-				case ir.OpDiv:
-					for l := range lanes {
-						lanes[l] = Val{F: laneF(a, l) / laneF(b, l), Fl: true}
-					}
-				default: // ir.OpRem
-					for l := range lanes {
-						lanes[l] = Val{F: math.Mod(laneF(a, l), laneF(b, l)), Fl: true}
-					}
-				}
-				regs[in.dst] = Val{Vec: lanes}
-
-			case opVecReduceFAdd:
-				// Float add-reduction; a 1-wide reduce returns lane 0
-				// untouched (interp folds from lane 0 without converting it).
-				a := &regs[in.a]
-				if int(in.width) == 1 {
-					if a.Vec == nil {
-						regs[in.dst] = *a
-					} else if len(a.Vec) > 0 {
-						regs[in.dst] = a.Vec[0]
-					} else {
-						regs[in.dst] = Val{}
-					}
-				} else {
-					acc := laneF(a, 0)
-					for l := 1; l < int(in.width); l++ {
-						acc += laneF(a, l)
-					}
-					regs[in.dst] = Val{F: acc, Fl: true}
-				}
-
-			case opVecBinI:
-				// Int-class lane-wise binary op. The dominant index-vector
-				// shapes (64-bit add/sub/mul) run without the FoldInt call;
-				// float-tagged lanes take ScalarBin's float path inline (for
-				// add/sub/mul that is just the float op).
-				a, b := &regs[in.a], &regs[in.b]
-				ls := lanes(in)
-				i64 := ir.Class(in.cls) == ir.I64
-				switch ir.Op(in.vecOp) {
-				case ir.OpAdd:
-					for l := range ls {
-						la, lb := lanePtr(a, l), lanePtr(b, l)
-						if la.Fl || lb.Fl {
-							ls[l] = Val{F: fl(la) + fl(lb), Fl: true}
-						} else if i64 {
-							ls[l] = Val{I: la.I + lb.I}
-						} else {
-							ls[l] = Val{I: trunc(in.cls, la.I+lb.I, in.unsigned)}
-						}
-					}
-					regs[in.dst] = Val{Vec: ls}
-					continue
-				case ir.OpSub:
-					for l := range ls {
-						la, lb := lanePtr(a, l), lanePtr(b, l)
-						if la.Fl || lb.Fl {
-							ls[l] = Val{F: fl(la) - fl(lb), Fl: true}
-						} else if i64 {
-							ls[l] = Val{I: la.I - lb.I}
-						} else {
-							ls[l] = Val{I: trunc(in.cls, la.I-lb.I, in.unsigned)}
-						}
-					}
-					regs[in.dst] = Val{Vec: ls}
-					continue
-				case ir.OpMul:
-					for l := range ls {
-						la, lb := lanePtr(a, l), lanePtr(b, l)
-						if la.Fl || lb.Fl {
-							ls[l] = Val{F: fl(la) * fl(lb), Fl: true}
-						} else if i64 {
-							ls[l] = Val{I: la.I * lb.I}
-						} else {
-							ls[l] = Val{I: trunc(in.cls, la.I*lb.I, in.unsigned)}
-						}
-					}
-					regs[in.dst] = Val{Vec: ls}
-					continue
-				}
-				for l := range ls {
-					la, lb := lanePtr(a, l), lanePtr(b, l)
-					if la.Fl || lb.Fl {
-						v, serr := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), *la, *lb, in.unsigned)
-						if serr != nil {
-							err = fmt.Errorf("vm: %v in %s", serr, fc.name)
-							goto fail
-						}
-						ls[l] = v
-					} else {
-						ls[l] = Val{I: ir.FoldInt(ir.Op(in.vecOp), ir.Class(in.cls), la.I, lb.I, in.unsigned)}
-					}
-				}
-				regs[in.dst] = Val{Vec: ls}
-
-			case opVecCmp:
-				// Lane-wise compare: interp.CompareVals inlined by pointer.
-				a, b := &regs[in.a], &regs[in.b]
-				ls := lanes(in)
-				for l := range ls {
-					la, lb := lanePtr(a, l), lanePtr(b, l)
-					var r bool
-					if la.Fl || lb.Fl {
-						r = ir.CompareFloat(ir.Pred(in.pred), fl(la), fl(lb))
-					} else {
-						r = ir.CompareInt(ir.Pred(in.pred), la.I, lb.I, in.unsigned)
-					}
-					ls[l] = Val{I: b2i(r)}
-				}
-				regs[in.dst] = Val{Vec: ls}
-
-			case opVecBin:
-				a, b := regs[in.a], regs[in.b]
-				lanes := lanes(in)
-				for l := 0; l < int(in.width); l++ {
-					la, lb := interp.Lane(a, l), interp.Lane(b, l)
-					if ir.Op(in.vecOp) == ir.OpCmp {
-						lanes[l] = interp.IV(b2i(interp.CompareVals(ir.Pred(in.pred), la, lb, in.unsigned)))
-					} else {
-						v, serr := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), la, lb, in.unsigned)
-						if serr != nil {
-							err = fmt.Errorf("vm: %v in %s", serr, fc.name)
-							goto fail
-						}
-						lanes[l] = v
-					}
-				}
-				regs[in.dst] = Val{Vec: lanes}
-
-			case opVecReduce:
-				a := regs[in.a]
-				acc := interp.Lane(a, 0)
-				for l := 1; l < int(in.width); l++ {
-					v, serr := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), acc, interp.Lane(a, l), in.unsigned)
-					if serr != nil {
-						err = fmt.Errorf("vm: %v in %s", serr, fc.name)
-						goto fail
-					}
-					acc = v
-				}
-				regs[in.dst] = acc
-
-			case opVecIota:
-				lanes := lanes(in)
-				for l := range lanes {
-					if isFloat(in.cls) {
-						lanes[l] = interp.FV(float64(l))
-					} else {
-						lanes[l] = interp.IV(int64(l))
-					}
-				}
-				regs[in.dst] = Val{Vec: lanes}
-
-			case opVecSelect:
-				mask, x, y := regs[in.a], regs[in.b], regs[in.c]
-				lanes := lanes(in)
-				for l := 0; l < int(in.width); l++ {
-					if interp.Lane(mask, l).AsInt() != 0 {
-						lanes[l] = interp.Lane(x, l)
-					} else {
-						lanes[l] = interp.Lane(y, l)
-					}
-				}
-				regs[in.dst] = Val{Vec: lanes}
-
-			case opVecCall:
-				co := &fc.cold[in.cold]
-				argv := gatherInto(fr, co.xargs, false)
-				if cap(fr.vecArgBuf) < len(argv) {
-					fr.vecArgBuf = make([]Val, len(argv))
-				}
-				laneArgs := fr.vecArgBuf[:len(argv)]
-				lanes := lanes(in)
-				for l := 0; l < int(in.width); l++ {
-					for ai := range argv {
-						laneArgs[ai] = interp.Lane(argv[ai], l)
-					}
-					v, ok, berr := interp.CallBuiltin(co.name, laneArgs)
-					if !ok || berr != nil {
-						err = fmt.Errorf("vm: bad vcall %s", co.name)
-						goto fail
-					}
-					lanes[l] = v
-				}
-				cycles += m.mc.VecCallLane * int64(int(in.width))
-				regs[in.dst] = Val{Vec: lanes}
-
-			default: // opUnhandled, opInvalid
-				err = fmt.Errorf("vm: unhandled op %s", ir.Op(in.scale))
-				goto fail
 			}
 		}
-		if trip {
-			// The halves of a tripping chain that fit retire and pay their
-			// cost kinds, but nothing executes: each half but a chain's last
-			// only writes a dead register. The tripping step counts as a
-			// step but retires nothing, exactly like the interpreter's
-			// pre-retire budget check.
-			for _, k := range code[pc].costK[:fit] {
-				cycles += m.costTab[k] + m.pen[fc.idx]
-			}
-			executed += int64(fit)
-			bias++
-			err = fmt.Errorf("vm: step budget exceeded")
-			goto out
+		if m.tripFit != 0 {
+			return Val{}, m.trip(fc, pc)
 		}
 	}
-fail:
-	// A handler error retires its own instruction but none after it.
-	executed -= int64(stepPre[end] - stepPre[pc+1])
-	cycles -= costPre[end] - costPre[pc+1]
-out:
-	m.steps, m.Executed, m.cycles = executed+bias, executed, cycles
-	return rv, err
+}
+
+// trip traps at pc, where the segment head cut a segment that overran
+// the step budget. The halves of a tripping chain that fit retire and
+// pay their cost kinds, but nothing executes: each half but a chain's
+// last only writes a dead register. The tripping step counts as a step
+// but retires nothing, exactly like the interpreter's pre-retire budget
+// check.
+func (m *Machine) trip(fc *fnCode, pc int) error {
+	fit := m.tripFit - 1
+	m.tripFit = 0
+	for _, k := range fc.code[pc].costK[:fit] {
+		m.cycles += m.costTab[k] + m.pen[fc.idx]
+	}
+	m.Executed += int64(fit)
+	m.steps += int64(fit) + 1
+	return fmt.Errorf("vm: step budget exceeded")
+}
+
+// fail un-charges what the segment ending at end charged for the pcs
+// after pc, whose handler returned err: a handler error retires its own
+// instruction but none after it. A segment that was to trip never gets
+// there.
+func (m *Machine) fail(fc *fnCode, pc, end int, err error) error {
+	d := int64(fc.steps[end] - fc.steps[pc+1])
+	m.steps -= d
+	m.Executed -= d
+	m.cycles -= m.segCost[fc.idx][end] - m.segCost[fc.idx][pc+1]
+	m.tripFit = 0
+	return err
+}
+
+// execCold runs the ops callFn's switch leaves to its default: the ones
+// that are rare in the dispatch mix, or whose handlers call out
+// (nested activations, builtins, long lane loops) and would make the
+// hot loop spill around them, and the error of a float-tagged bitwise
+// op. Its costs and a callee's go straight to the Machine's accounting
+// fields. A non-nil error fails the instruction.
+//
+//go:noinline
+func (m *Machine) execCold(fc *fnCode, fr *frame, in *instr) error {
+	regs := fr.regs
+	switch in.op {
+	case opAlloca:
+		// Allocas are function-entry allocations, assigned lazily on
+		// first execution and reused on re-execution (the interpreter's
+		// frameAllocs); address 0 doubles as the unassigned sentinel
+		// since data addresses start at memBase.
+		a := fr.allocas[in.aux]
+		if a == 0 {
+			a = m.alloc(in.scale)
+			fr.allocas[in.aux] = a
+		}
+		regs[in.dst] = interp.IV(a)
+
+	case opNeg:
+		a := &regs[in.a]
+		if a.Fl {
+			regs[in.dst] = Val{F: -a.F, Fl: true}
+		} else {
+			regs[in.dst] = Val{I: trunc(in.cls, -a.I, in.unsigned)}
+		}
+
+	case opNot:
+		regs[in.dst] = Val{I: trunc(in.cls, ^iv(&regs[in.a]), in.unsigned)}
+
+	case opIBits:
+		a, b := &regs[in.a], &regs[in.b]
+		if a.Fl || b.Fl {
+			return fmt.Errorf("vm: bitwise op %s on float operands in %s", ir.Op(in.irOp), fc.name)
+		}
+		regs[in.dst] = Val{I: ir.FoldInt(ir.Op(in.irOp), ir.Class(in.cls), a.I, b.I, in.unsigned)}
+
+	case opBin:
+		v, err := interp.ScalarBin(ir.Op(in.irOp), ir.Class(in.cls), regs[in.a], regs[in.b], in.unsigned)
+		if err != nil {
+			return fmt.Errorf("vm: %v in %s", err, fc.name)
+		}
+		regs[in.dst] = v
+
+	case opDivRem:
+		a, b := &regs[in.a], &regs[in.b]
+		if !a.Fl && !b.Fl && b.I == 0 {
+			return fmt.Errorf("vm: division by zero in %s", fc.name)
+		}
+		if isFloat(in.cls) || a.Fl || b.Fl {
+			// ScalarBin's float path; Div/Rem never fail on floats.
+			if ir.Op(in.irOp) == ir.OpDiv {
+				regs[in.dst] = Val{F: fl(a) / fl(b), Fl: true}
+			} else {
+				regs[in.dst] = Val{F: math.Mod(fl(a), fl(b)), Fl: true}
+			}
+		} else {
+			regs[in.dst] = Val{I: ir.FoldInt(ir.Op(in.irOp), ir.Class(in.cls), a.I, b.I, in.unsigned)}
+		}
+
+	case opCallFn:
+		co := &fc.cold[in.cold]
+		v, err := m.callFn(co.fn, gatherInto(fr, co.xargs, true))
+		if err != nil {
+			return err
+		}
+		if ir.Class(in.cls) != ir.Void {
+			regs[in.dst] = v
+		}
+
+	case opCallBuiltin:
+		co := &fc.cold[in.cold]
+		v, _, err := interp.CallBuiltin(co.name, gatherInto(fr, co.xargs, false))
+		m.cycles += m.mc.BuiltinCall
+		if err != nil {
+			return err
+		}
+		if ir.Class(in.cls) != ir.Void {
+			regs[in.dst] = v
+		}
+
+	case opCallIndirect:
+		name, ok := m.p.funcNames[iv(&regs[in.a])]
+		if !ok {
+			return fmt.Errorf("vm: bad indirect call in %s", fc.name)
+		}
+		callArgs := gatherInto(fr, fc.cold[in.cold].xargs, true)
+		var v Val
+		if bv, isB, err := interp.CallBuiltin(name, callArgs); isB {
+			m.cycles += m.mc.BuiltinCall
+			if err != nil {
+				return err
+			}
+			v = bv
+		} else if fn, ok := m.p.byName[name]; ok {
+			if v, err = m.callFn(fn, callArgs); err != nil {
+				return err
+			}
+		} else {
+			return fmt.Errorf("vm: call to undefined %q from %s", name, fc.name)
+		}
+		if ir.Class(in.cls) != ir.Void {
+			regs[in.dst] = v
+		}
+
+	case opCallUndefined:
+		return fmt.Errorf("vm: call to undefined %q from %s", fc.cold[in.cold].name, fc.name)
+
+	case opFellThrough:
+		// Not a real instruction (zero steps, zero cost): the
+		// interpreter errors after the block's last instruction.
+		return fmt.Errorf("vm: block %s fell through in %s", fc.cold[in.cold].name, fc.name)
+
+	case opMemset:
+		ptr := iv(&regs[in.a])
+		c := scalar(&regs[in.b])
+		length := iv(&regs[in.c])
+		for off := int64(0); off < length; off += in.scale {
+			m.setCell(ptr+off, c)
+		}
+		m.cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
+
+	case opMemcpy:
+		dst := iv(&regs[in.a])
+		src := iv(&regs[in.b])
+		length := iv(&regs[in.c])
+		for off := int64(0); off < length; off += in.scale {
+			m.setCell(dst+off, m.cellAt(src+off))
+		}
+		m.cycles += m.mc.MemsetBase + m.mc.MemsetPerByte*length
+
+	case opVecLoad, opGEPVecLoad:
+		base := iv(&regs[in.a])
+		if in.op == opGEPVecLoad {
+			base += iv(&regs[in.b])*in.scale + in.off
+		}
+		ls := fr.lanes(in)
+		stride := int64(ir.Class(in.cls).Size())
+		if isFloat(in.cls) {
+			for l := range ls {
+				ls[l] = Val{F: m.cellAt(base + int64(l)*stride).f64(), Fl: true}
+			}
+		} else {
+			for l := range ls {
+				ls[l] = Val{I: m.cellAt(base + int64(l)*stride).I}
+			}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecStore, opGEPVecStore:
+		base := iv(&regs[in.a])
+		if in.op == opGEPVecStore {
+			base += iv(&regs[in.b])*in.scale + in.off
+		}
+		v := &regs[in.c]
+		stride := int64(ir.Class(in.cls).Size())
+		for l := 0; l < int(in.width) && l < len(v.Vec); l++ {
+			m.setCell(base+int64(l)*stride, scalar(&v.Vec[l]))
+		}
+
+	case opVecSplat:
+		// Cloning here also launders any (degenerate) vector-of-vector
+		// lane: every Vec reachable from a lane value is immutable.
+		s := cloneVec(regs[in.a])
+		ls := fr.lanes(in)
+		for l := range ls {
+			ls[l] = s
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecBinF:
+		// Float-class lane-wise arithmetic: the ScalarBin float path
+		// (ir.FoldFloat) unrolled per opcode, one slice allocation.
+		a, b := &regs[in.a], &regs[in.b]
+		ls := fr.lanes(in)
+		switch ir.Op(in.vecOp) {
+		case ir.OpAdd:
+			for l := range ls {
+				ls[l] = Val{F: laneF(a, l) + laneF(b, l), Fl: true}
+			}
+		case ir.OpSub:
+			for l := range ls {
+				ls[l] = Val{F: laneF(a, l) - laneF(b, l), Fl: true}
+			}
+		case ir.OpMul:
+			for l := range ls {
+				ls[l] = Val{F: laneF(a, l) * laneF(b, l), Fl: true}
+			}
+		case ir.OpDiv:
+			for l := range ls {
+				ls[l] = Val{F: laneF(a, l) / laneF(b, l), Fl: true}
+			}
+		default: // ir.OpRem
+			for l := range ls {
+				ls[l] = Val{F: math.Mod(laneF(a, l), laneF(b, l)), Fl: true}
+			}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecReduceFAdd:
+		// Float add-reduction; a 1-wide reduce returns lane 0
+		// untouched (interp folds from lane 0 without converting it).
+		a := &regs[in.a]
+		if int(in.width) == 1 {
+			if a.Vec == nil {
+				regs[in.dst] = *a
+			} else if len(a.Vec) > 0 {
+				regs[in.dst] = a.Vec[0]
+			} else {
+				regs[in.dst] = Val{}
+			}
+		} else {
+			acc := laneF(a, 0)
+			for l := 1; l < int(in.width); l++ {
+				acc += laneF(a, l)
+			}
+			regs[in.dst] = Val{F: acc, Fl: true}
+		}
+
+	case opVecBinI:
+		// Int-class lane-wise binary op. The dominant index-vector
+		// shapes (64-bit add/sub/mul) run without the FoldInt call;
+		// float-tagged lanes take ScalarBin's float path inline (for
+		// add/sub/mul that is just the float op).
+		a, b := &regs[in.a], &regs[in.b]
+		ls := fr.lanes(in)
+		i64 := ir.Class(in.cls) == ir.I64
+		switch ir.Op(in.vecOp) {
+		case ir.OpAdd:
+			for l := range ls {
+				la, lb := lanePtr(a, l), lanePtr(b, l)
+				if la.Fl || lb.Fl {
+					ls[l] = Val{F: fl(la) + fl(lb), Fl: true}
+				} else if i64 {
+					ls[l] = Val{I: la.I + lb.I}
+				} else {
+					ls[l] = Val{I: trunc(in.cls, la.I+lb.I, in.unsigned)}
+				}
+			}
+		case ir.OpSub:
+			for l := range ls {
+				la, lb := lanePtr(a, l), lanePtr(b, l)
+				if la.Fl || lb.Fl {
+					ls[l] = Val{F: fl(la) - fl(lb), Fl: true}
+				} else if i64 {
+					ls[l] = Val{I: la.I - lb.I}
+				} else {
+					ls[l] = Val{I: trunc(in.cls, la.I-lb.I, in.unsigned)}
+				}
+			}
+		case ir.OpMul:
+			for l := range ls {
+				la, lb := lanePtr(a, l), lanePtr(b, l)
+				if la.Fl || lb.Fl {
+					ls[l] = Val{F: fl(la) * fl(lb), Fl: true}
+				} else if i64 {
+					ls[l] = Val{I: la.I * lb.I}
+				} else {
+					ls[l] = Val{I: trunc(in.cls, la.I*lb.I, in.unsigned)}
+				}
+			}
+		default:
+			for l := range ls {
+				la, lb := lanePtr(a, l), lanePtr(b, l)
+				if la.Fl || lb.Fl {
+					v, err := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), *la, *lb, in.unsigned)
+					if err != nil {
+						return fmt.Errorf("vm: %v in %s", err, fc.name)
+					}
+					ls[l] = v
+				} else {
+					ls[l] = Val{I: ir.FoldInt(ir.Op(in.vecOp), ir.Class(in.cls), la.I, lb.I, in.unsigned)}
+				}
+			}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecCmp:
+		// Lane-wise compare: interp.CompareVals inlined by pointer.
+		a, b := &regs[in.a], &regs[in.b]
+		ls := fr.lanes(in)
+		for l := range ls {
+			la, lb := lanePtr(a, l), lanePtr(b, l)
+			var r bool
+			if la.Fl || lb.Fl {
+				r = ir.CompareFloat(ir.Pred(in.pred), fl(la), fl(lb))
+			} else {
+				r = ir.CompareInt(ir.Pred(in.pred), la.I, lb.I, in.unsigned)
+			}
+			ls[l] = Val{I: b2i(r)}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecBin:
+		a, b := regs[in.a], regs[in.b]
+		ls := fr.lanes(in)
+		for l := 0; l < int(in.width); l++ {
+			la, lb := interp.Lane(a, l), interp.Lane(b, l)
+			if ir.Op(in.vecOp) == ir.OpCmp {
+				ls[l] = interp.IV(b2i(interp.CompareVals(ir.Pred(in.pred), la, lb, in.unsigned)))
+			} else {
+				v, err := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), la, lb, in.unsigned)
+				if err != nil {
+					return fmt.Errorf("vm: %v in %s", err, fc.name)
+				}
+				ls[l] = v
+			}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecReduce:
+		a := regs[in.a]
+		acc := interp.Lane(a, 0)
+		for l := 1; l < int(in.width); l++ {
+			v, err := interp.ScalarBin(ir.Op(in.vecOp), ir.Class(in.cls), acc, interp.Lane(a, l), in.unsigned)
+			if err != nil {
+				return fmt.Errorf("vm: %v in %s", err, fc.name)
+			}
+			acc = v
+		}
+		regs[in.dst] = acc
+
+	case opVecIota:
+		ls := fr.lanes(in)
+		for l := range ls {
+			if isFloat(in.cls) {
+				ls[l] = interp.FV(float64(l))
+			} else {
+				ls[l] = interp.IV(int64(l))
+			}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecSelect:
+		mask, x, y := regs[in.a], regs[in.b], regs[in.c]
+		ls := fr.lanes(in)
+		for l := 0; l < int(in.width); l++ {
+			if interp.Lane(mask, l).AsInt() != 0 {
+				ls[l] = interp.Lane(x, l)
+			} else {
+				ls[l] = interp.Lane(y, l)
+			}
+		}
+		regs[in.dst] = Val{Vec: ls}
+
+	case opVecCall:
+		co := &fc.cold[in.cold]
+		argv := gatherInto(fr, co.xargs, false)
+		if cap(fr.vecArgBuf) < len(argv) {
+			fr.vecArgBuf = make([]Val, len(argv))
+		}
+		laneArgs := fr.vecArgBuf[:len(argv)]
+		ls := fr.lanes(in)
+		for l := 0; l < int(in.width); l++ {
+			for ai := range argv {
+				laneArgs[ai] = interp.Lane(argv[ai], l)
+			}
+			v, ok, err := interp.CallBuiltin(co.name, laneArgs)
+			if !ok || err != nil {
+				return fmt.Errorf("vm: bad vcall %s", co.name)
+			}
+			ls[l] = v
+		}
+		m.cycles += m.mc.VecCallLane * int64(int(in.width))
+		regs[in.dst] = Val{Vec: ls}
+
+	default: // opUnhandled, opInvalid
+		return fmt.Errorf("vm: unhandled op %s", ir.Op(in.scale))
+	}
+	return nil
+}
+
+// lanes is the lane buffer of the vec-producing instruction in, width
+// lanes long. Buffers are per (activation, vec instruction): the first
+// execution allocates, re-executions rewrite in place. Safe because
+// registers are SSA (an instruction never reads its own buffer while
+// writing it) and every whole-value copy that could outlive the defining
+// instruction goes through cloneVec.
+func (fr *frame) lanes(in *instr) []Val {
+	w := int(in.width)
+	b := fr.vecBufs[in.aux]
+	if cap(b) < w {
+		b = make([]Val, w)
+		fr.vecBufs[in.aux] = b
+	}
+	return b[:w:w]
 }
 
 // ubcheckRun executes the ubcheck at pc and every ubcheck that directly
@@ -1177,18 +1210,6 @@ func isFloat(cls uint8) bool { return ir.Class(cls).IsFloat() }
 
 func trunc(cls uint8, x int64, unsigned bool) int64 {
 	return ir.TruncInt(ir.Class(cls), x, unsigned)
-}
-
-// compareAt is a fused cmp's result: x, the value the chain produced,
-// is its operand in.pos and o the other.
-func compareAt(in *instr, x, o cell) bool {
-	if in.pos != 0 {
-		x, o = o, x
-	}
-	if x.Fl || o.Fl {
-		return ir.CompareFloat(ir.Pred(in.pred), x.f64(), o.f64())
-	}
-	return ir.CompareInt(ir.Pred(in.pred), x.I, o.I, in.unsigned2)
 }
 
 // gepAt is a fused gep's address: x, the value the chain produced, is
