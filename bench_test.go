@@ -264,27 +264,38 @@ func BenchmarkAblationAAChain(b *testing.B) {
 	b.ReportMetric(ratio, "chain_speedup")
 }
 
-// BenchmarkAnalysisThroughput measures raw analysis speed over the
-// largest generated corpus (lines of C analyzed per second matters for
-// the paper's <2% compile-time claim).
+// BenchmarkAnalysisThroughput measures raw analysis speed over every
+// SPEC-shaped unit of the default draw, reported per full expression
+// (the paper cites a <2% compile-time cost for the analysis).
 func BenchmarkAnalysisThroughput(b *testing.B) {
-	units := workload.GenerateUnits(workload.SpecSuite()[0]) // gcc
-	src := ""
-	for _, u := range units[:3] {
-		src = u.Source // analyze one representative unit repeatedly
+	type unit struct {
+		tu *ast.TranslationUnit
+		an *ooe.Analyzer
 	}
-	tu, perrs := parser.ParseFile("corpus.c", src, nil)
-	if len(perrs) > 0 {
-		b.Fatal(perrs[0])
+	var units []unit
+	exprs := 0
+	for _, bench := range workload.SpecSuite() {
+		for _, p := range workload.GenerateUnits(bench) {
+			tu, perrs := parser.ParseFile(p.Name, p.Source, workload.Files())
+			if len(perrs) > 0 {
+				b.Fatal(perrs[0])
+			}
+			if errs := sema.Check(tu); len(errs) > 0 {
+				b.Fatal(errs[0])
+			}
+			an := ooe.New(ooe.Config{}, ooe.FuncMap(tu))
+			exprs += len(an.AnalyzeUnit(tu))
+			units = append(units, unit{tu, an})
+		}
 	}
-	if errs := sema.Check(tu); len(errs) > 0 {
-		b.Fatal(errs[0])
-	}
-	an := ooe.New(ooe.Config{}, ooe.FuncMap(tu))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = an.AnalyzeUnit(tu)
+		for _, u := range units {
+			_ = u.an.AnalyzeUnit(u.tu)
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*exprs), "ns/fullexpr")
 }
 
 // BenchmarkAblationGammaClear quantifies DESIGN.md §5's sequencing rule:

@@ -207,9 +207,7 @@ func table2() error {
 		text string
 	}
 	var rows []row
-	for id, ex := range r.Exprs {
-		rows = append(rows, row{id, ast.ExprString(ex)})
-	}
+	ast.Walk(e, func(ex ast.Expr) { rows = append(rows, row{ex.ID(), ast.ExprString(ex)}) })
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 	name := func(ids []int) string {
 		s := "{"
@@ -217,13 +215,13 @@ func table2() error {
 			if i > 0 {
 				s += ", "
 			}
-			s += ast.ExprString(r.Exprs[id])
+			s += ast.ExprString(r.Expr(id))
 		}
 		return s + "}"
 	}
 	fmt.Printf("%-22s %-28s %-18s %-18s %s\n", "expression", "ω", "θ", "γ", "π")
 	for _, rw := range rows {
-		sets, ok := r.ByID[rw.id]
+		sets, ok := r.Sets(rw.id)
 		if !ok {
 			continue
 		}
@@ -232,7 +230,7 @@ func table2() error {
 			if i > 0 {
 				pi += ", "
 			}
-			pi += "(" + ast.ExprString(r.Exprs[p.A]) + "," + ast.ExprString(r.Exprs[p.B]) + ")"
+			pi += "(" + ast.ExprString(r.Expr(p.A)) + "," + ast.ExprString(r.Expr(p.B)) + ")"
 		}
 		pi += "}"
 		fmt.Printf("%-22s %-28s %-18s %-18s %s\n",

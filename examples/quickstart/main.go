@@ -40,7 +40,7 @@ func main() {
 		for _, rep := range an.AnalyzeFunction(f) {
 			root := rep.Result.Root
 			fmt.Printf("full expression: %s\n", ast.ExprString(root))
-			sets := rep.Result.ByID[root.ID()]
+			sets, _ := rep.Result.Sets(root.ID())
 			fmt.Printf("  reads (ω):        %s\n", describe(rep.Result, sets.Omega.Sorted()))
 			fmt.Printf("  side effects (θ): %s\n", describe(rep.Result, sets.Theta.Sorted()))
 			fmt.Printf("  pending (γ):      %s\n", describe(rep.Result, sets.Gamma.Sorted()))
@@ -60,7 +60,7 @@ func describe(r *ooe.Result, ids []int) string {
 		if i > 0 {
 			s += ", "
 		}
-		s += ast.ExprString(r.Exprs[id])
+		s += ast.ExprString(r.Expr(id))
 	}
 	return s + "}"
 }

@@ -46,11 +46,11 @@ type Config struct {
 	// Transform, if set, runs after semantic analysis and may rewrite the
 	// AST (e.g. the automatic annotator); sema is re-run afterwards.
 	Transform func(*ast.TranslationUnit)
-	// Jobs bounds the worker pool the per-function analysis and pass
-	// pipeline shard across (the -j flag). 0 uses the process default
-	// (SetDefaultJobs, else GOMAXPROCS); 1 forces the sequential path,
-	// the differential-testing oracle. Output is byte-identical across
-	// all values — results merge in original function order.
+	// Jobs bounds the worker pool the per-function pass pipeline shards
+	// across (the -j flag). 0 uses the process default (SetDefaultJobs,
+	// else GOMAXPROCS); 1 forces the sequential path, the
+	// differential-testing oracle. Output is byte-identical across all
+	// values — results merge in original function order.
 	Jobs int
 	// Telemetry, if non-nil, receives phase spans, pass/AA counters, and
 	// optimization remarks. The nil default has zero overhead.
@@ -143,7 +143,7 @@ func Compile(name, src string, cfg Config) (*Compilation, error) {
 	ooeCfg := ooe.Config{}
 	an := ooe.New(ooeCfg, ooe.FuncMap(tu))
 	stop = tel.Span("phase/ooe")
-	reports := an.AnalyzeUnitJobs(tu, jobs)
+	reports := an.AnalyzeUnit(tu)
 	stop()
 
 	c := &Compilation{Name: name, TU: tu, Reports: reports, cfg: cfg}

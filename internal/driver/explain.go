@@ -41,7 +41,7 @@ func Explain(w io.Writer, c *Compilation, snap *telemetry.Snapshot) error {
 			fmt.Fprintf(w, "== function %s ==\n", fn)
 			curFn = fn
 		}
-		sets := rep.Result.ByID[root.ID()]
+		sets, _ := rep.Result.Sets(root.ID())
 		fmt.Fprintf(w, "%s: %s\n", root.Pos(), ast.ExprString(root))
 		fmt.Fprintf(w, "  ω = %s\n", setString(sets.Omega, rep.Result))
 		fmt.Fprintf(w, "  θ = %s\n", setString(sets.Theta, rep.Result))
@@ -128,7 +128,7 @@ func setString(s ooe.IDSet, r *ooe.Result) string {
 	ids := s.Sorted()
 	parts := make([]string, 0, len(ids))
 	for _, id := range ids {
-		e := r.Exprs[id]
+		e := r.Expr(id)
 		if e == nil {
 			parts = append(parts, fmt.Sprintf("#%d", id))
 			continue
@@ -144,7 +144,7 @@ func piString(pi ooe.PairSet, r *ooe.Result, provs []ir.PredProvenance) string {
 	pairs := pi.Sorted()
 	parts := make([]string, 0, len(pairs))
 	for _, p := range pairs {
-		e1, e2 := r.Exprs[p.A], r.Exprs[p.B]
+		e1, e2 := r.Expr(p.A), r.Expr(p.B)
 		s1, s2 := fmt.Sprintf("#%d", p.A), fmt.Sprintf("#%d", p.B)
 		if e1 != nil {
 			s1 = ast.ExprString(e1)

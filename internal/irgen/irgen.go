@@ -33,14 +33,16 @@ type Generator struct {
 	mod  *ir.Module
 	tu   *ast.TranslationUnit
 
-	// preds maps full-expression root IDs to their predicates.
+	// preds maps full-expression root IDs to their predicates (roots
+	// without predicates are absent).
 	preds map[int][]ooe.Predicate
 
 	fn      *ir.Func
 	blk     *ir.Block
 	allocas map[*ast.Symbol]*ir.Instr
 	// lvPtr records the lowered pointer value for lvalue sub-expressions
-	// of the current full expression, keyed by AST expression ID.
+	// of the current full expression, keyed by AST expression ID. It is
+	// nil (recording off) unless the full expression has predicates.
 	lvPtr map[int]ir.Value
 
 	breakTargets    []*ir.Block
@@ -69,7 +71,9 @@ func Generate(tu *ast.TranslationUnit, reports []ooe.FullExprReport, opts Option
 		preds: make(map[int][]ooe.Predicate),
 	}
 	for _, rep := range reports {
-		g.preds[rep.Result.Root.ID()] = rep.Predicates
+		if len(rep.Predicates) > 0 {
+			g.preds[rep.Result.Root.ID()] = rep.Predicates
+		}
 	}
 	g.genGlobals()
 	for _, f := range tu.Funcs {
@@ -542,9 +546,12 @@ func valClass(v ir.Value) ir.Class { return v.Class() }
 func (g *Generator) genFullExpr(e ast.Expr) ir.Value {
 	start, end := ast.Span(e)
 	g.setSpan(start, end)
-	g.lvPtr = make(map[int]ir.Value)
+	preds := g.preds[e.ID()]
+	if len(preds) > 0 {
+		g.lvPtr = make(map[int]ir.Value)
+	}
 	v := g.genExpr(e)
-	if preds, ok := g.preds[e.ID()]; ok && g.blk != nil {
+	if g.blk != nil {
 		for _, p := range preds {
 			if p.BothBitfields {
 				continue // §4.2.3: unsound under bitfield widening

@@ -2,6 +2,8 @@ package ooe
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/sema"
@@ -50,21 +52,21 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("must-not-alias(%s, %s)", ast.ExprString(p.E1), ast.ExprString(p.E2))
 }
 
-// Result holds the analysis of one full expression.
+// Result holds the analysis of one full expression. The judgement sets
+// are not kept: Sets rebuilds them on demand.
 type Result struct {
 	Root ast.Expr
-	// ByID maps expression IDs to their judgement sets.
-	ByID map[int]Sets
-	// Exprs maps IDs back to expressions.
-	Exprs map[int]ast.Expr
 	// HasUnseqSideEffect reports whether the full expression contains at
 	// least one unsequenced side effect paired with a conflicting-access
 	// candidate, i.e. generates at least one predicate before filtering.
 	HasUnseqSideEffect bool
+
+	an *Analyzer
 }
 
 // Analyzer runs the Fig. 1 rules. Funcs supplies defined functions for
-// purity lookups (may be nil: all calls are then impure).
+// purity lookups (may be nil: all calls are then impure). An Analyzer is
+// read-only after New, so goroutines may share it.
 type Analyzer struct {
 	cfg   Config
 	funcs map[string]*ast.FuncDecl
@@ -84,61 +86,155 @@ func FuncMap(tu *ast.TranslationUnit) map[string]*ast.FuncDecl {
 	return m
 }
 
-// AnalyzeExpr computes the judgement sets for the full expression e and
-// every sub-expression.
+// AnalyzeExpr analyzes the full expression e.
 func (a *Analyzer) AnalyzeExpr(e ast.Expr) *Result {
-	r := &Result{
-		Root:  e,
-		ByID:  make(map[int]Sets),
-		Exprs: make(map[int]ast.Expr),
-	}
-	ast.Walk(e, func(x ast.Expr) { r.Exprs[x.ID()] = x })
-	a.visit(e, r)
-	root := r.ByID[sema.Strip(e).ID()]
-	r.ByID[e.ID()] = root // Paren roots share the inner judgement
-	r.HasUnseqSideEffect = len(root.Pi) > 0
+	sc := getScratch()
+	defer putScratch(sc)
+	r := &Result{Root: e, an: a}
+	a.run(sc, e)
+	r.HasUnseqSideEffect = sc.hasPairs()
 	return r
 }
 
-// nabla implements ∇(S): keep only expressions that evaluate to non-array
-// lvalues.
-func nabla(exprs ...ast.Expr) IDSet {
-	out := make(IDSet)
-	for _, e := range exprs {
-		e = sema.Strip(e)
-		if sema.IsNonArrayLvalue(e) {
-			out.Add(e.ID())
-		}
-	}
-	return out
-}
-
-// containsImpureCall reports whether e's subtree contains a function call
-// not known to be pure (readnone).
-func (a *Analyzer) containsImpureCall(e ast.Expr) bool {
-	impure := false
-	ast.Walk(e, func(x ast.Expr) {
-		if impure {
-			return
-		}
-		if call, ok := x.(*ast.Call); ok {
-			if a.cfg.AssumeAllCallsImpure || !sema.CallIsPure(call, a.funcs) {
-				impure = true
+// Sets returns the judgement of the sub-expression with the given ID,
+// rebuilt by analyzing that sub-expression on its own (a node's sets
+// depend only on its subtree). The root's ID yields the full
+// expression's judgement even when the root is parenthesized; inner
+// Paren nodes, nodes under sizeof (never evaluated) and IDs outside the
+// expression report false.
+func (r *Result) Sets(id int) (Sets, bool) {
+	sc := getScratch()
+	defer putScratch(sc)
+	e := sema.Strip(r.Root)
+	if id != r.Root.ID() {
+		r.an.run(sc, r.Root)
+		e = nil
+		for _, nd := range sc.nodes {
+			if nd.e.ID() == id {
+				e = nd.e
+				break
 			}
 		}
-	})
-	return impure
+		if e == nil {
+			return Sets{}, false
+		}
+	}
+	root := r.an.run(sc, e)
+	ids := func(tab []uint64) IDSet {
+		s := make(IDSet)
+		forEachBit(sc.set(tab, root), func(loc int) { s.Add(sc.nodes[sc.byLoc[loc]].e.ID()) })
+		return s
+	}
+	out := Sets{Omega: ids(sc.omega), Theta: ids(sc.theta), Gamma: ids(sc.gamma), Pi: make(PairSet)}
+	sc.eachPair(func(i, j int) { out.Pi.Add(sc.nodes[i].e.ID(), sc.nodes[j].e.ID()) })
+	return out, true
 }
 
-// containsAnyCall reports whether e's subtree contains any call at all.
-func containsAnyCall(e ast.Expr) bool {
-	found := false
-	ast.Walk(e, func(x ast.Expr) {
-		if _, ok := x.(*ast.Call); ok {
-			found = true
+// Expr returns the node with the given ID anywhere in the full
+// expression (Parens and sizeof operands included), or nil.
+func (r *Result) Expr(id int) ast.Expr {
+	var found ast.Expr
+	ast.Walk(r.Root, func(x ast.Expr) {
+		if found == nil && x.ID() == id {
+			found = x
 		}
 	})
 	return found
+}
+
+// forEachBit calls fn with every member of s, ascending.
+func forEachBit(s []uint64, fn func(int)) {
+	for k, word := range s {
+		for ; word != 0; word &= word - 1 {
+			fn(k*64 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// hasPairs reports whether the analyzed root's π is non-empty.
+func (sc *scratch) hasPairs() bool {
+	for _, word := range sc.pi {
+		if word != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// eachPair calls fn with the node indices of every π pair of the
+// analyzed root, in PairSet.Sorted order: local numbers ascend with
+// expression IDs, so the upper triangle read row by row is sorted.
+func (sc *scratch) eachPair(fn func(i, j int)) {
+	for k := range len(sc.nodes) {
+		row := sc.row(k)
+		for w, word := range row {
+			if w == k/64 {
+				word &^= 1<<(k%64+1) - 1 // only j > k
+			} else if w < k/64 {
+				continue
+			}
+			for ; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
+				fn(sc.byLoc[k], sc.byLoc[j])
+			}
+		}
+	}
+}
+
+// Predicates converts the π set of the analyzed full expression into
+// predicates, applying the bitfield filter (§4.2.3) and tagging call
+// involvement. Filtered-out predicates are returned too, with their
+// filter flags set, so statistics can count them.
+func (a *Analyzer) Predicates(r *Result) []Predicate {
+	sc := getScratch()
+	defer putScratch(sc)
+	a.run(sc, r.Root)
+	return a.predicates(sc, r.Root)
+}
+
+// predicates builds the Predicates of the full expression root, just
+// analyzed into sc.
+func (a *Analyzer) predicates(sc *scratch, root ast.Expr) []Predicate {
+	pairs := 0
+	for _, word := range sc.pi {
+		pairs += bits.OnesCount64(word)
+	}
+	if pairs == 0 {
+		return nil
+	}
+	out := make([]Predicate, 0, pairs/2)
+	sc.eachPair(func(i, j int) {
+		n1, n2 := &sc.nodes[i], &sc.nodes[j]
+		p := Predicate{E1: n1.e, E2: n2.e, Pos: root.Pos()}
+		if n1.anyCall {
+			p.Calls = callNames(n1.e)
+		}
+		if n2.anyCall {
+			p.Calls = append(p.Calls, callNames(n2.e)...)
+		}
+		for _, c := range p.Calls {
+			if a.cfg.AssumeAllCallsImpure || c == "<indirect>" || !a.pureByName(c) {
+				p.ImpureCall = true
+				break
+			}
+		}
+		if !a.cfg.KeepBitfieldPredicates &&
+			sema.IsBitfieldLvalue(n1.e) && sema.IsBitfieldLvalue(n2.e) {
+			p.BothBitfields = true
+		}
+		out = append(out, p)
+	})
+	return out
+}
+
+func (a *Analyzer) pureByName(name string) bool {
+	if sema.PureBuiltins[name] {
+		return true
+	}
+	if f, ok := a.funcs[name]; ok && f.PureKnown {
+		return f.Pure
+	}
+	return false
 }
 
 // callNames collects the called function names inside e.
@@ -156,390 +252,6 @@ func callNames(e ast.Expr) []string {
 	return names
 }
 
-// visit computes sets bottom-up and records them in r.
-func (a *Analyzer) visit(e ast.Expr, r *Result) Sets {
-	if e == nil {
-		return emptySets()
-	}
-	e = sema.Strip(e)
-	s := a.compute(e, r)
-	// The impure-fun-call overriding rule (paper eq. impure-fun-call):
-	// if any operand contains an impure function call, the operator adds
-	// no new π pairs — π is restricted to the union of the operands' πs.
-	if len(s.Pi) > 0 {
-		if opPi := a.operandPiUnion(e, r); opPi != nil {
-			restricted := make(PairSet)
-			for p := range s.Pi {
-				if _, ok := opPi[p]; ok {
-					restricted[p] = struct{}{}
-				}
-			}
-			s.Pi = restricted
-		}
-	}
-	r.ByID[e.ID()] = s
-	return s
-}
-
-// operandPiUnion returns the union of operand π sets if the impure-call
-// override applies to e, or nil if it does not apply.
-func (a *Analyzer) operandPiUnion(e ast.Expr, r *Result) PairSet {
-	operands := directOperands(e)
-	applies := false
-	for _, op := range operands {
-		if op != nil && a.containsImpureCall(op) {
-			applies = true
-			break
-		}
-	}
-	if !applies {
-		return nil
-	}
-	union := make(PairSet)
-	for _, op := range operands {
-		if op == nil {
-			continue
-		}
-		for p := range r.ByID[sema.Strip(op).ID()].Pi {
-			union[p] = struct{}{}
-		}
-	}
-	return union
-}
-
-// directOperands lists e's immediate operand expressions.
-func directOperands(e ast.Expr) []ast.Expr {
-	switch x := sema.Strip(e).(type) {
-	case *ast.Unary:
-		return []ast.Expr{x.X}
-	case *ast.Postfix:
-		return []ast.Expr{x.X}
-	case *ast.Binary:
-		return []ast.Expr{x.L, x.R}
-	case *ast.Assign:
-		return []ast.Expr{x.L, x.R}
-	case *ast.Comma:
-		return []ast.Expr{x.L, x.R}
-	case *ast.Cond:
-		return []ast.Expr{x.C, x.T, x.F}
-	case *ast.Index:
-		return []ast.Expr{x.X, x.I}
-	case *ast.Member:
-		return []ast.Expr{x.X}
-	case *ast.Call:
-		ops := []ast.Expr{x.Fun}
-		for _, arg := range x.Args {
-			ops = append(ops, arg)
-		}
-		return ops
-	case *ast.Cast:
-		return []ast.Expr{x.X}
-	case *ast.SizeofExpr:
-		return nil // operand is unevaluated
-	case *ast.InitList:
-		return x.Elems
-	}
-	return nil
-}
-
-// compute applies the Fig. 1 rule for e's top-level operator.
-func (a *Analyzer) compute(e ast.Expr, r *Result) Sets {
-	switch x := e.(type) {
-	case *ast.Ident, *ast.IntLit, *ast.FloatLit, *ast.CharLit, *ast.StringLit:
-		// (const / var): all empty. Decay is charged to the consumer.
-		return emptySets()
-
-	case *ast.Binary:
-		switch x.Op {
-		case token.AndAnd, token.OrOr:
-			// (binop-logical): only the first operand surely evaluates;
-			// a sequence point follows it, so γ is cleared.
-			s1 := a.visit(x.L, r)
-			a.visit(x.R, r) // still analyzed for nested judgements
-			out := Sets{
-				Omega: Union(s1.Omega, nabla(x.L)),
-				Theta: Union(s1.Theta),
-				Gamma: make(IDSet),
-				Pi:    UnionPairs(s1.Pi, Cross(s1.Gamma, nabla(x.L))),
-			}
-			if a.cfg.NoGammaClear {
-				out.Gamma = Union(s1.Gamma)
-			}
-			return out
-		default:
-			// (binop-unseq).
-			s1 := a.visit(x.L, r)
-			s2 := a.visit(x.R, r)
-			return Sets{
-				Omega: Union(s1.Omega, s2.Omega, nabla(x.L, x.R)),
-				Theta: Union(s1.Theta, s2.Theta),
-				Gamma: Union(s1.Gamma, s2.Gamma),
-				Pi: UnionPairs(s1.Pi, s2.Pi,
-					Cross(Union(s1.Omega, nabla(x.L)), s2.Theta),
-					Cross(s1.Theta, Union(s2.Omega, nabla(x.R))),
-					Cross(s1.Theta, s2.Theta),
-					Cross(s1.Gamma, nabla(x.L)),
-					Cross(s2.Gamma, nabla(x.R))),
-			}
-		}
-
-	case *ast.Unary:
-		switch x.Op {
-		case token.Amp:
-			// (address-of): pass-through, no decay of the operand.
-			return a.visit(x.X, r)
-		case token.Star:
-			// (deref).
-			s := a.visit(x.X, r)
-			return Sets{
-				Omega: Union(s.Omega, nabla(x.X)),
-				Theta: Union(s.Theta),
-				Gamma: Union(s.Gamma),
-				Pi:    UnionPairs(s.Pi, Cross(s.Gamma, nabla(x.X))),
-			}
-		case token.Inc, token.Dec:
-			// (pre/post-inc/dec): the operand lvalue is read, written, and
-			// its side effect is pending; it must not alias γ of the
-			// operand's own evaluation.
-			s := a.visit(x.X, r)
-			op := sema.Strip(x.X)
-			self := NewIDSet(op.ID())
-			return Sets{
-				Omega: Union(s.Omega, self),
-				Theta: Union(s.Theta, self),
-				Gamma: Union(s.Gamma, self),
-				Pi:    UnionPairs(s.Pi, Cross(self, s.Gamma)),
-			}
-		default:
-			// (unary-op): - ! ~ decay their operand.
-			s := a.visit(x.X, r)
-			return Sets{
-				Omega: Union(s.Omega, nabla(x.X)),
-				Theta: Union(s.Theta),
-				Gamma: Union(s.Gamma),
-				Pi:    UnionPairs(s.Pi, Cross(s.Gamma, nabla(x.X))),
-			}
-		}
-
-	case *ast.Postfix:
-		// (pre/post-inc/dec), postfix form: same sets as prefix.
-		s := a.visit(x.X, r)
-		op := sema.Strip(x.X)
-		self := NewIDSet(op.ID())
-		return Sets{
-			Omega: Union(s.Omega, self),
-			Theta: Union(s.Theta, self),
-			Gamma: Union(s.Gamma, self),
-			Pi:    UnionPairs(s.Pi, Cross(self, s.Gamma)),
-		}
-
-	case *ast.Assign:
-		s1 := a.visit(x.L, r)
-		s2 := a.visit(x.R, r)
-		l := sema.Strip(x.L)
-		e1 := NewIDSet(l.ID())
-		if x.Op == token.Assign {
-			// (assignment): e1 does not decay; e2 does. The references of
-			// either operand are allowed to alias the assignment's own
-			// side effect (remove_refs), so e1 is paired only with γ1∪γ2
-			// and e2's decay only with γ2.
-			return Sets{
-				Omega: Union(s1.Omega, s2.Omega, nabla(x.R)),
-				Theta: Union(s1.Theta, s2.Theta, e1),
-				Gamma: Union(s1.Gamma, s2.Gamma, e1),
-				Pi: UnionPairs(s1.Pi, s2.Pi,
-					Cross(s1.Omega, s2.Theta),
-					Cross(s1.Theta, Union(s2.Omega, nabla(x.R))),
-					Cross(s1.Theta, s2.Theta),
-					Cross(e1, Union(s1.Gamma, s2.Gamma)),
-					Cross(nabla(x.R), s2.Gamma)),
-			}
-		}
-		// (compound-assignment): e1 also decays (read-modify-write).
-		return Sets{
-			Omega: Union(s1.Omega, s2.Omega, nabla(x.L, x.R)),
-			Theta: Union(s1.Theta, s2.Theta, e1),
-			Gamma: Union(s1.Gamma, s2.Gamma, e1),
-			Pi: UnionPairs(s1.Pi, s2.Pi,
-				Cross(Union(s1.Omega, e1), s2.Theta),
-				Cross(s1.Theta, Union(s2.Omega, nabla(x.R))),
-				Cross(s1.Theta, s2.Theta),
-				Cross(e1, s1.Gamma),
-				Cross(nabla(x.R), s2.Gamma)),
-		}
-
-	case *ast.Comma:
-		// (comma): sequence point between operands; γ1 is cleared but γ2
-		// survives (e2 evaluates after the clear).
-		s1 := a.visit(x.L, r)
-		s2 := a.visit(x.R, r)
-		gamma := Union(s2.Gamma)
-		if a.cfg.NoGammaClear {
-			gamma = Union(s1.Gamma, s2.Gamma)
-		}
-		return Sets{
-			Omega: Union(s1.Omega, s2.Omega, nabla(x.L, x.R)),
-			Theta: Union(s1.Theta, s2.Theta),
-			Gamma: gamma,
-			Pi: UnionPairs(s1.Pi, s2.Pi,
-				Cross(s1.Gamma, nabla(x.L)),
-				Cross(s2.Gamma, nabla(x.R))),
-		}
-
-	case *ast.Cond:
-		// (ternary): only the condition surely evaluates.
-		s1 := a.visit(x.C, r)
-		a.visit(x.T, r)
-		a.visit(x.F, r)
-		out := Sets{
-			Omega: Union(s1.Omega, nabla(x.C)),
-			Theta: Union(s1.Theta),
-			Gamma: make(IDSet),
-			Pi:    UnionPairs(s1.Pi, Cross(s1.Gamma, nabla(x.C))),
-		}
-		if a.cfg.NoGammaClear {
-			out.Gamma = Union(s1.Gamma)
-		}
-		return out
-
-	case *ast.Index:
-		// e1[e2] is *(e1 + e2): binop-unseq on the operands, then deref of
-		// an rvalue sum (whose ∇ is empty).
-		s1 := a.visit(x.X, r)
-		s2 := a.visit(x.I, r)
-		return Sets{
-			Omega: Union(s1.Omega, s2.Omega, nabla(x.X, x.I)),
-			Theta: Union(s1.Theta, s2.Theta),
-			Gamma: Union(s1.Gamma, s2.Gamma),
-			Pi: UnionPairs(s1.Pi, s2.Pi,
-				Cross(Union(s1.Omega, nabla(x.X)), s2.Theta),
-				Cross(s1.Theta, Union(s2.Omega, nabla(x.I))),
-				Cross(s1.Theta, s2.Theta),
-				Cross(s1.Gamma, nabla(x.X)),
-				Cross(s2.Gamma, nabla(x.I))),
-		}
-
-	case *ast.Member:
-		if x.Arrow {
-			// s->fld is (*s).fld: deref of s, then struct-field
-			// pass-through.
-			s := a.visit(x.X, r)
-			return Sets{
-				Omega: Union(s.Omega, nabla(x.X)),
-				Theta: Union(s.Theta),
-				Gamma: Union(s.Gamma),
-				Pi:    UnionPairs(s.Pi, Cross(s.Gamma, nabla(x.X))),
-			}
-		}
-		// (struct-field): pass-through (the aggregate lvalue itself does
-		// not decay; the field lvalue's decay is charged to the consumer).
-		return a.visit(x.X, r)
-
-	case *ast.Call:
-		// (fun-call): designator and arguments are mutually unsequenced;
-		// the sequence point before the call clears γ.
-		operands := append([]ast.Expr{x.Fun}, x.Args...)
-		sets := make([]Sets, len(operands))
-		for i, op := range operands {
-			sets[i] = a.visit(op, r)
-		}
-		out := emptySets()
-		for i, op := range operands {
-			out.Omega = Union(out.Omega, sets[i].Omega, nabla(op))
-			out.Theta = Union(out.Theta, sets[i].Theta)
-			out.Pi = UnionPairs(out.Pi, sets[i].Pi, Cross(sets[i].Gamma, nabla(op)))
-		}
-		for i := range operands {
-			for j := range operands {
-				if i == j {
-					continue
-				}
-				out.Pi = UnionPairs(out.Pi,
-					Cross(sets[i].Theta, sets[j].Theta),
-					Cross(Union(sets[i].Omega, nabla(operands[i])), sets[j].Theta),
-					Cross(sets[i].Theta, Union(sets[j].Omega, nabla(operands[j]))))
-			}
-		}
-		if a.cfg.NoGammaClear {
-			for i := range operands {
-				out.Gamma = Union(out.Gamma, sets[i].Gamma)
-			}
-		}
-		return out
-
-	case *ast.Cast:
-		// Casting decays the operand in an rvalue context: unary-op shape.
-		s := a.visit(x.X, r)
-		return Sets{
-			Omega: Union(s.Omega, nabla(x.X)),
-			Theta: Union(s.Theta),
-			Gamma: Union(s.Gamma),
-			Pi:    UnionPairs(s.Pi, Cross(s.Gamma, nabla(x.X))),
-		}
-
-	case *ast.SizeofExpr:
-		// (sizeof): the operand is not evaluated.
-		return emptySets()
-
-	case *ast.InitList:
-		// Initializer-list expressions are indeterminately sequenced
-		// (C17 6.7.9p23): sequenced, order unspecified — no races, and a
-		// sequence point separates them from what follows.
-		out := emptySets()
-		for _, el := range x.Elems {
-			s := a.visit(el, r)
-			out.Omega = Union(out.Omega, s.Omega, nabla(el))
-			out.Theta = Union(out.Theta, s.Theta)
-			out.Pi = UnionPairs(out.Pi, s.Pi, Cross(s.Gamma, nabla(el)))
-		}
-		return out
-	}
-	return emptySets()
-}
-
-// Predicates converts the π set of the analyzed full expression into
-// predicates, applying the bitfield filter (§4.2.3) and tagging call
-// involvement. Filtered-out predicates are returned too, with their
-// filter flags set, so statistics can count them.
-func (a *Analyzer) Predicates(r *Result) []Predicate {
-	root := r.ByID[sema.Strip(r.Root).ID()]
-	var out []Predicate
-	for _, pair := range root.Pi.Sorted() {
-		e1, e2 := r.Exprs[pair.A], r.Exprs[pair.B]
-		if e1 == nil || e2 == nil {
-			continue
-		}
-		p := Predicate{E1: e1, E2: e2, Pos: r.Root.Pos()}
-		p.Calls = append(callNames(e1), callNames(e2)...)
-		for _, c := range p.Calls {
-			if a.cfg.AssumeAllCallsImpure {
-				p.ImpureCall = true
-				break
-			}
-			if c == "<indirect>" || !a.pureByName(c) {
-				p.ImpureCall = true
-				break
-			}
-		}
-		if !a.cfg.KeepBitfieldPredicates &&
-			sema.IsBitfieldLvalue(e1) && sema.IsBitfieldLvalue(e2) {
-			p.BothBitfields = true
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
-func (a *Analyzer) pureByName(name string) bool {
-	if sema.PureBuiltins[name] {
-		return true
-	}
-	if f, ok := a.funcs[name]; ok && f.PureKnown {
-		return f.Pure
-	}
-	return false
-}
-
 // FullExprReport is the per-full-expression analysis outcome used by the
 // driver's statistics (Table 5).
 type FullExprReport struct {
@@ -553,37 +265,55 @@ type FullExprReport struct {
 
 // AnalyzeFunction analyzes every full expression in f's body.
 func (a *Analyzer) AnalyzeFunction(f *ast.FuncDecl) []FullExprReport {
-	if f.Body == nil {
-		return nil
-	}
-	var out []FullExprReport
-	for _, e := range ast.FullExprs(f.Body) {
-		r := a.AnalyzeExpr(e)
-		out = append(out, FullExprReport{
-			Result:       r,
-			Predicates:   a.Predicates(r),
-			ContainsCall: containsAnyCall(e),
-		})
-	}
-	return out
+	sc := getScratch()
+	defer putScratch(sc)
+	return a.analyzeFunction(sc, f, nil)
 }
 
 // AnalyzeUnit analyzes every function in tu and the global initializers.
 func (a *Analyzer) AnalyzeUnit(tu *ast.TranslationUnit) []FullExprReport {
+	sc := getScratch()
+	defer putScratch(sc)
 	var out []FullExprReport
 	for _, g := range tu.Globals {
-		if g.Init == nil {
-			continue
+		if g.Init != nil {
+			out = append(out, a.report(sc, g.Init, &Result{}))
 		}
-		r := a.AnalyzeExpr(g.Init)
-		out = append(out, FullExprReport{
-			Result:       r,
-			Predicates:   a.Predicates(r),
-			ContainsCall: containsAnyCall(g.Init),
-		})
 	}
 	for _, f := range tu.Funcs {
-		out = append(out, a.AnalyzeFunction(f)...)
+		out = a.analyzeFunction(sc, f, out)
 	}
 	return out
+}
+
+// analyzeFunction appends the reports of f's full expressions to out.
+func (a *Analyzer) analyzeFunction(sc *scratch, f *ast.FuncDecl, out []FullExprReport) []FullExprReport {
+	if f.Body == nil {
+		return out
+	}
+	exprs := ast.FullExprs(f.Body)
+	results := make([]Result, len(exprs))
+	out = slices.Grow(out, len(exprs))
+	for i, e := range exprs {
+		out = append(out, a.report(sc, e, &results[i]))
+	}
+	return out
+}
+
+// report analyzes the full expression e into r and builds its report.
+func (a *Analyzer) report(sc *scratch, e ast.Expr, r *Result) FullExprReport {
+	root := a.run(sc, e)
+	*r = Result{Root: e, HasUnseqSideEffect: sc.hasPairs(), an: a}
+	rep := FullExprReport{Result: r, ContainsCall: root >= 0 && sc.nodes[root].anyCall}
+	if r.HasUnseqSideEffect {
+		rep.Predicates = a.predicates(sc, e)
+	}
+	return rep
+}
+
+// AnalyzeUnitJobs is AnalyzeUnit; jobs is ignored. On bitsets a unit's
+// analysis takes a few hundred microseconds, and fanning its functions
+// out across goroutines no longer beat the sequential walk.
+func (a *Analyzer) AnalyzeUnitJobs(tu *ast.TranslationUnit, jobs int) []FullExprReport {
+	return a.AnalyzeUnit(tu)
 }

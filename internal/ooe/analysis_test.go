@@ -42,8 +42,19 @@ func analyzeAll(t *testing.T, src, fn string, cfg Config) (*Analyzer, []*Result)
 	var rs []*Result
 	for _, e := range ast.FullExprs(f.Body) {
 		rs = append(rs, a.AnalyzeExpr(e))
+		for _, c := range []Config{{}, {AssumeAllCallsImpure: true}, {NoGammaClear: true}, {KeepBitfieldPredicates: true}} {
+			if err := CheckOracle(New(c, a.funcs), e); err != nil {
+				t.Errorf("%+v: %v", c, err)
+			}
+		}
 	}
 	return a, rs
+}
+
+// judgement returns the sets of sub-expression id (empty when it has none).
+func judgement(r *Result, id int) Sets {
+	s, _ := r.Sets(id)
+	return s
 }
 
 // names maps the sorted elements of an ID set to their printed expression
@@ -51,7 +62,7 @@ func analyzeAll(t *testing.T, src, fn string, cfg Config) (*Analyzer, []*Result)
 func names(r *Result, s IDSet) []string {
 	var out []string
 	for _, id := range s.Sorted() {
-		out = append(out, ast.ExprString(r.Exprs[id]))
+		out = append(out, ast.ExprString(r.Expr(id)))
 	}
 	return out
 }
@@ -59,7 +70,7 @@ func names(r *Result, s IDSet) []string {
 func pairNames(r *Result, s PairSet) []string {
 	var out []string
 	for _, p := range s.Sorted() {
-		a, b := ast.ExprString(r.Exprs[p.A]), ast.ExprString(r.Exprs[p.B])
+		a, b := ast.ExprString(r.Expr(p.A)), ast.ExprString(r.Expr(p.B))
 		if a > b {
 			a, b = b, a
 		}
@@ -83,7 +94,7 @@ func TestTable2Sets(t *testing.T) {
 void f(double *min, double *max) { *min = *max = a[0]; }`
 	_, r := analyze(t, src, "f", Config{})
 	root := sema.Strip(r.Root)
-	s := r.ByID[root.ID()]
+	s := judgement(r, root.ID())
 
 	// Paper row 8: ω = {a[0], max, min}, θ = {*max, *min}, γ = {*max, *min},
 	// π = {(*max,*min), (*max,min)}.
@@ -94,7 +105,7 @@ void f(double *min, double *max) { *min = *max = a[0]; }`
 
 	// Paper row 5: the inner assignment *max = a[0].
 	inner := sema.Strip(root.(*ast.Assign).R)
-	si := r.ByID[inner.ID()]
+	si := judgement(r, inner.ID())
 	wantSet(t, "inner omega", names(r, si.Omega), []string{"max", "a[0]"})
 	wantSet(t, "inner theta", names(r, si.Theta), []string{"*max"})
 	wantSet(t, "inner gamma", names(r, si.Gamma), []string{"*max"})
@@ -106,7 +117,7 @@ void f(double *min, double *max) { *min = *max = a[0]; }`
 	// (a is an array lvalue, excluded by ∇; decay is charged to the
 	// consumer).
 	idx := sema.Strip(inner.(*ast.Assign).R)
-	sx := r.ByID[idx.ID()]
+	sx := judgement(r, idx.ID())
 	if len(sx.Omega)+len(sx.Theta)+len(sx.Gamma)+len(sx.Pi) != 0 {
 		t.Errorf("a[0] sets should all be empty: ω=%v θ=%v", names(r, sx.Omega), names(r, sx.Theta))
 	}
@@ -160,7 +171,7 @@ void f(int *p) { a = pick(1) + (*p = 2); }`
 func TestSection25Example1(t *testing.T) {
 	_, r := analyze(t, "void f(int i) { i = ++i + 1; }", "f", Config{})
 	root := sema.Strip(r.Root)
-	s := r.ByID[root.ID()]
+	s := judgement(r, root.ID())
 	wantSet(t, "pi", pairNames(r, s.Pi), []string{"i|i"})
 }
 
@@ -169,7 +180,7 @@ func TestSection25Example1(t *testing.T) {
 func TestSection25Example2(t *testing.T) {
 	_, r := analyze(t, "void f(int a[8], int i) { a[i++] = i; }", "f", Config{})
 	root := sema.Strip(r.Root)
-	s := r.ByID[root.ID()]
+	s := judgement(r, root.ID())
 	got := pairNames(r, s.Pi)
 	hasII := false
 	for _, p := range got {
@@ -185,7 +196,7 @@ func TestSection25Example2(t *testing.T) {
 // TestSection25Example3: i = i + 1 is well-defined: no pairs.
 func TestSection25Example3(t *testing.T) {
 	_, r := analyze(t, "void f(int i) { i = i + 1; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	if len(s.Pi) != 0 {
 		t.Errorf("i = i + 1 must produce no pairs, got %v", pairNames(r, s.Pi))
 	}
@@ -194,7 +205,7 @@ func TestSection25Example3(t *testing.T) {
 // TestSection25Example4: a[i] = i has no side effect on i: no pairs.
 func TestSection25Example4(t *testing.T) {
 	_, r := analyze(t, "void f(int a[8], int i) { a[i] = i; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	if len(s.Pi) != 0 {
 		t.Errorf("a[i] = i must produce no pairs, got %v", pairNames(r, s.Pi))
 	}
@@ -205,7 +216,7 @@ func TestSection25Example4(t *testing.T) {
 // the pointer p, which is unsequenced with the side effect on i.
 func TestSection25Example5(t *testing.T) {
 	_, r := analyze(t, "void f(int *p, int i) { *p = ++i + 1; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	wantSet(t, "pi", pairNames(r, s.Pi), []string{"i|p", "*p|i"})
 }
 
@@ -214,7 +225,7 @@ func TestSection25Example5(t *testing.T) {
 // key fact: (i, *p) is inferred.
 func TestSection25Example6(t *testing.T) {
 	_, r := analyze(t, "void f(int a[8], int *p, int i) { a[i++] = *p; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	got := pairNames(r, s.Pi)
 	foundIP := false
 	for _, p := range got {
@@ -325,7 +336,7 @@ void init(struct kern *kernel, struct args_t *args, int i, long u, long v) {
 // operand {i} is paired with the decay read of the right operand {i}.
 func TestCommaExposesTheta(t *testing.T) {
 	_, r := analyze(t, "void f(int i, int j) { (i--, j) + i; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	wantSet(t, "pi", pairNames(r, s.Pi), []string{"i|i"})
 }
 
@@ -334,7 +345,7 @@ func TestCommaExposesTheta(t *testing.T) {
 // only holds the right side.
 func TestCommaClearsGamma(t *testing.T) {
 	_, r := analyze(t, "void f(int i, int j) { (i--, j--); }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	wantSet(t, "gamma", names(r, s.Gamma), []string{"j"})
 	wantSet(t, "theta", names(r, s.Theta), []string{"i", "j"})
 	if len(s.Pi) != 0 {
@@ -346,7 +357,7 @@ func TestCommaClearsGamma(t *testing.T) {
 // contributes (the right may not execute).
 func TestLogicalClearsGamma(t *testing.T) {
 	_, r := analyze(t, "void f(int i, int j) { i-- && j--; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	if len(s.Gamma) != 0 {
 		t.Errorf("γ must be empty after &&, got %v", names(r, s.Gamma))
 	}
@@ -358,7 +369,7 @@ func TestLogicalClearsGamma(t *testing.T) {
 // condition contributes.
 func TestTernaryOnlyCondition(t *testing.T) {
 	_, r := analyze(t, "void f(int c, int i, int j) { c-- ? i-- : j--; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	wantSet(t, "theta", names(r, s.Theta), []string{"c"})
 	if len(s.Gamma) != 0 {
 		t.Errorf("γ must be cleared by ?:, got %v", names(r, s.Gamma))
@@ -371,7 +382,7 @@ func TestFunCallPairsArguments(t *testing.T) {
 	src := `int g2(int a, int b) { return a + b; }
 void f(int *p, int *q) { g2(*p = 1, *q = 2); }`
 	_, r := analyze(t, src, "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	got := pairNames(r, s.Pi)
 	found := false
 	for _, p := range got {
@@ -389,7 +400,7 @@ func TestFunCallClearsGamma(t *testing.T) {
 	src := `int id1(int x) { return x; }
 void f(int i) { id1(i++); }`
 	_, r := analyze(t, src, "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	if len(s.Gamma) != 0 {
 		t.Errorf("γ must be cleared at the call sequence point: %v", names(r, s.Gamma))
 	}
@@ -398,7 +409,7 @@ void f(int i) { id1(i++); }`
 // TestSizeofUnevaluated: sizeof's operand generates nothing.
 func TestSizeofUnevaluated(t *testing.T) {
 	_, r := analyze(t, "void f(int i) { sizeof(i++) + i; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	if len(s.Theta) != 0 || len(s.Pi) != 0 {
 		t.Errorf("sizeof operand must not contribute: θ=%v π=%v",
 			names(r, s.Theta), pairNames(r, s.Pi))
@@ -408,7 +419,7 @@ func TestSizeofUnevaluated(t *testing.T) {
 // TestAddressOfPassThrough: &x neither reads nor writes x.
 func TestAddressOfPassThrough(t *testing.T) {
 	_, r := analyze(t, "void f(int x, int *p) { p = &x; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	wantSet(t, "omega", names(r, s.Omega), nil)
 	wantSet(t, "theta", names(r, s.Theta), []string{"p"})
 }
@@ -419,13 +430,13 @@ func TestAddressOfPassThrough(t *testing.T) {
 // (x = 1) + (x = 2) both writes pair.
 func TestAssignmentSubtleties(t *testing.T) {
 	_, r := analyze(t, "void f(int x) { x = x + 1; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	if len(s.Pi) != 0 {
 		t.Errorf("x = x+1 must have empty π: %v", pairNames(r, s.Pi))
 	}
 
 	_, r2 := analyze(t, "void f(int x) { (x = 1) + (x = 2); }", "f", Config{})
-	s2 := r2.ByID[sema.Strip(r2.Root).ID()]
+	s2 := judgement(r2, sema.Strip(r2.Root).ID())
 	wantSet(t, "pi", pairNames(r2, s2.Pi), []string{"x|x"})
 }
 
@@ -433,7 +444,7 @@ func TestAssignmentSubtleties(t *testing.T) {
 // of the LHS pairs with θ of the RHS.
 func TestCompoundAssignment(t *testing.T) {
 	_, r := analyze(t, "void f(int x, int y) { x += y-- ; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	wantSet(t, "theta", names(r, s.Theta), []string{"x", "y"})
 	got := pairNames(r, s.Pi)
 	wantSet(t, "pi", got, []string{"x|y"})
@@ -444,7 +455,7 @@ func TestCompoundAssignment(t *testing.T) {
 // via χ({e1}, γ1).
 func TestPostIncDeref(t *testing.T) {
 	_, r := analyze(t, "void f(int *p, int v) { *p++ = v; }", "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	got := pairNames(r, s.Pi)
 	found := false
 	for _, pn := range got {
@@ -526,14 +537,14 @@ void f(int *p) { a = pick(1) + (*p = 2); }`
 func TestGammaClearAblation(t *testing.T) {
 	src := "int a[8];\nvoid f(int i, int j, int x) { x = a[(i++, j)]; }"
 	_, r := analyze(t, src, "f", Config{})
-	s := r.ByID[sema.Strip(r.Root).ID()]
+	s := judgement(r, sema.Strip(r.Root).ID())
 	sound := len(s.Pi)
 	if sound != 0 {
 		t.Errorf("sound analysis must emit no pairs here, got %v", pairNames(r, s.Pi))
 	}
 
 	_, r2 := analyze(t, src, "f", Config{NoGammaClear: true})
-	s2 := r2.ByID[sema.Strip(r2.Root).ID()]
+	s2 := judgement(r2, sema.Strip(r2.Root).ID())
 	unsound := len(s2.Pi)
 	if unsound <= sound {
 		t.Errorf("ablation should add unsound pairs: sound=%d unsound=%d", sound, unsound)

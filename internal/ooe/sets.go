@@ -37,17 +37,6 @@ func (s IDSet) Has(id int) bool { _, ok := s[id]; return ok }
 // Add inserts id.
 func (s IDSet) Add(id int) { s[id] = struct{}{} }
 
-// Union returns a new set holding every element of the operands.
-func Union(sets ...IDSet) IDSet {
-	out := make(IDSet)
-	for _, s := range sets {
-		for id := range s {
-			out[id] = struct{}{}
-		}
-	}
-	return out
-}
-
 // Sorted returns the elements in ascending order.
 func (s IDSet) Sorted() []int {
 	out := make([]int, 0, len(s))
@@ -109,33 +98,6 @@ func (s PairSet) Has(a, b int) bool { _, ok := s[MakePair(a, b)]; return ok }
 // Add inserts the pair (a,b).
 func (s PairSet) Add(a, b int) { s[MakePair(a, b)] = struct{}{} }
 
-// UnionPairs returns a new pair set holding every pair of the operands.
-func UnionPairs(sets ...PairSet) PairSet {
-	out := make(PairSet)
-	for _, s := range sets {
-		for p := range s {
-			out[p] = struct{}{}
-		}
-	}
-	return out
-}
-
-// Cross implements the paper's χ(s1, s2): the cartesian product as
-// unordered pairs. Self-pairs (a,a) are never produced — an ID denotes a
-// single evaluation and cannot race with itself.
-func Cross(s1, s2 IDSet) PairSet {
-	out := make(PairSet)
-	for a := range s1 {
-		for b := range s2 {
-			if a == b {
-				continue
-			}
-			out.Add(a, b)
-		}
-	}
-	return out
-}
-
 // Sorted returns pairs ordered lexicographically.
 func (s PairSet) Sorted() []Pair {
 	out := make([]Pair, 0, len(s))
@@ -179,13 +141,4 @@ type Sets struct {
 	Theta IDSet
 	Gamma IDSet
 	Pi    PairSet
-}
-
-func emptySets() Sets {
-	return Sets{
-		Omega: make(IDSet),
-		Theta: make(IDSet),
-		Gamma: make(IDSet),
-		Pi:    make(PairSet),
-	}
 }

@@ -156,13 +156,13 @@ func TestTheorem31OmegaThetaWitness(t *testing.T) {
 		an := ooe.New(ooe.Config{}, ooe.FuncMap(tu))
 		rep := an.AnalyzeFunction(tu.Funcs[0])[0]
 		root := sema.Strip(rep.Result.Root)
-		sets := rep.Result.ByID[root.ID()]
+		sets, _ := rep.Result.Sets(root.ID())
 		foundWrite := false
 		for _, id := range sets.Theta.Sorted() {
-			if ast.ExprString(rep.Result.Exprs[id]) == c.wantWrite {
+			if ast.ExprString(rep.Result.Expr(id)) == c.wantWrite {
 				foundWrite = true
 			}
-			if c.wantUnread != "" && ast.ExprString(rep.Result.Exprs[id]) == c.wantUnread {
+			if c.wantUnread != "" && ast.ExprString(rep.Result.Expr(id)) == c.wantUnread {
 				t.Errorf("%s: %s must not be in θ (may not execute)", c.src, c.wantUnread)
 			}
 		}
