@@ -498,9 +498,11 @@ func BenchmarkSpecCompile(b *testing.B) {
 // is what every experiment, fuzz sweep, and sanitizer replay pays per
 // program, and the vm's contract is "same bits, an order of magnitude
 // less wall-clock". Compare tree/ to vm/ with benchstat or benchdiff.
-// The programs run at unseq-O3, and gemm once more as the sanitizer
-// builds it (O0 with UB checks), whose run is mostly slot loads and
-// ubcheck runs.
+// The programs run at unseq-O3, and gemm and perl-toke once more as
+// the sanitizer builds them (O0 with UB checks). Their runs are mostly
+// slot loads and ubcheck runs: compile time decides 80% of the checks
+// gemm executes and 28.6% of perl-toke's, so the two time both the
+// skipped and the evaluated check path.
 func BenchmarkRunLeg(b *testing.B) {
 	o3 := driver.Config{OOElala: true, Files: workload.Files()}
 	san := driver.Config{OOElala: true, Sanitize: true, Files: workload.Files()}
@@ -514,6 +516,7 @@ func BenchmarkRunLeg(b *testing.B) {
 		{"intro-imagick", workload.IntroImagick(3), o3},
 		{"intro-minmax", workload.IntroMinmax(64), o3},
 		{"gemm-sanitize-O0", workload.Gemm(), san},
+		{"perl-toke-sanitize-O0", workload.PerlToke().Program, san},
 	}
 	for _, l := range legs {
 		c, err := driver.Compile(l.p.Name, l.p.Source, l.cfg)

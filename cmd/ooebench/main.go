@@ -95,7 +95,8 @@ func main() {
 	intro := flag.Bool("intro", false, "reproduce the introduction examples")
 	ub := flag.Bool("ubsan", false, "run the sanitizer sweep (§4.2.3)")
 	all := flag.Bool("all", false, "run everything")
-	jsonOut := flag.Bool("json", false, "write table rows to BENCH_ooebench.json")
+	jsonOut := flag.Bool("json", false,
+		"write table rows to BENCH_ooebench.json when -table4, -table6 or -interproc-ab runs")
 	attr := flag.Bool("attribute", false,
 		"profile every Table 4 kernel under both configurations, diff per-function cycles, join savings to π-pair provenance, write BENCH_attribution.json")
 	profKernel := flag.String("profile-kernel", "",
@@ -157,7 +158,9 @@ func main() {
 	if err := tf.Finish(tel, os.Stdout); err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
+	// Only these tables fill benchOut; without one the file would be
+	// overwritten with {}.
+	if *jsonOut && (*t4 || *t6 || *ip || *all) {
 		if err := writeBenchJSON("BENCH_ooebench.json"); err != nil {
 			fatal(err)
 		}

@@ -1,9 +1,12 @@
 package ir
 
-// Dominance and natural-loop analysis, used by LICM, unrolling, and the
-// vectorizer. Both keep their per-block state in slices indexed by
-// block ID (see Func.NumBlockIDs); a block made after the analysis ran,
-// or one of another function, is simply not in them.
+import "slices"
+
+// Dominance and natural-loop analysis, used by LICM, unrolling, the
+// vectorizer and the vm's compile-time decisions. Both keep their
+// per-block state in slices indexed by block ID (see
+// Func.NumBlockIDs); a block made after the analysis ran, or one of
+// another function, is simply not in them.
 
 // DomTree holds immediate dominators for a function's blocks.
 type DomTree struct {
@@ -16,85 +19,160 @@ type DomTree struct {
 	idom []int32
 	// rpo lists the reachable blocks in reverse postorder.
 	rpo []*Block
+
+	// Scratch that Compute reuses: the depth-first walk's stack, and the
+	// predecessors' numbers of the block numbered i,
+	// preds[start[i]:start[i+1]].
+	stack        []domFrame
+	start, preds []int32
+}
+
+// domFrame is a block on the depth-first walk's stack, with the index
+// of its next successor to visit.
+type domFrame struct {
+	b    *Block
+	next int
+}
+
+// succs returns b's successors in f, nil where it has fewer than two,
+// without allocating.
+func succs(f *Func, b *Block) [2]*Block {
+	var s [2]*Block
+	if t := b.Terminator(); t != nil && t.Op == OpBr {
+		s[0] = t.Target
+	} else if t != nil && t.Op == OpCondBr {
+		s = [2]*Block{t.Then, t.Else}
+	}
+	for i := range s {
+		if !f.owns(s[i]) {
+			s[i] = nil
+		}
+	}
+	return s
 }
 
 // ComputeDom builds the dominator tree with the iterative algorithm
 // (Cooper-Harvey-Kennedy).
 func ComputeDom(f *Func) *DomTree {
-	dt := &DomTree{fn: f, order: make([]int32, f.NumBlockIDs())}
+	dt := &DomTree{}
+	dt.Compute(f)
+	return dt
+}
+
+// Compute builds f's dominator tree into dt, reusing the tables of the
+// tree dt held before, so one DomTree can serve function after function
+// without allocating once its tables are large enough.
+func (dt *DomTree) Compute(f *Func) {
+	n := f.NumBlockIDs()
+	dt.fn = f
+	if cap(dt.order) < n {
+		dt.reserveNumbers(n)
+	}
+	dt.order = dt.order[:n]
 	for i := range dt.order {
 		dt.order[i] = -1
 	}
+	dt.rpo = dt.rpo[:0]
 	entry := f.Entry()
 	if entry == nil {
-		return dt
+		dt.idom = dt.idom[:0]
+		return
 	}
-	dt.rpo = reversePostorder(f, entry, dt.order)
+	// Postorder of a depth-first walk that takes successors in order,
+	// reversed.
+	push := func(b *Block) {
+		dt.order[b.ID] = 0
+		dt.stack = append(dt.stack, domFrame{b: b})
+	}
+	dt.stack = dt.stack[:0]
+	push(entry)
+	for len(dt.stack) > 0 {
+		top := &dt.stack[len(dt.stack)-1]
+		if top.next < 2 {
+			s := succs(f, top.b)[top.next]
+			top.next++ // before push, which may move the stack
+			if s != nil && dt.order[s.ID] < 0 {
+				push(s)
+			}
+			continue
+		}
+		dt.rpo = append(dt.rpo, top.b)
+		dt.stack = dt.stack[:len(dt.stack)-1]
+	}
+	slices.Reverse(dt.rpo)
 	for i, b := range dt.rpo {
 		dt.order[b.ID] = int32(i)
 	}
 
-	preds := f.Preds()
-	dt.idom = make([]int32, len(dt.rpo))
+	// Predecessors by number, in compressed rows: count each block's
+	// edges at start[i+2] and prefix-sum, so that start[i+1] is where its
+	// row begins; filling bumps start[i+1] to the row's end.
+	m := len(dt.rpo)
+	dt.start = dt.start[:m+2]
+	clear(dt.start)
+	for _, b := range dt.rpo {
+		for _, s := range succs(f, b) {
+			if s != nil {
+				dt.start[dt.order[s.ID]+2]++
+			}
+		}
+	}
+	for i := 2; i < len(dt.start); i++ {
+		dt.start[i] += dt.start[i-1]
+	}
+	dt.preds = dt.preds[:dt.start[m+1]]
+	for i, b := range dt.rpo {
+		for _, s := range succs(f, b) {
+			if s != nil {
+				dt.preds[dt.start[dt.order[s.ID]+1]] = int32(i)
+				dt.start[dt.order[s.ID]+1]++
+			}
+		}
+	}
+
+	dt.idom = dt.idom[:m]
 	for i := range dt.idom {
 		dt.idom[i] = -1
 	}
 	dt.idom[0] = 0
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for i, b := range dt.rpo[1:] {
+		for i := 1; i < m; i++ {
 			newIdom := int32(-1)
-			for _, p := range preds.Of(b) {
-				pi := dt.order[p.ID]
-				if pi < 0 || dt.idom[pi] < 0 {
-					continue
-				}
-				if newIdom < 0 {
-					newIdom = pi
-				} else {
-					newIdom = dt.intersect(pi, newIdom)
+			for _, p := range dt.preds[dt.start[i]:dt.start[i+1]] {
+				switch {
+				case dt.idom[p] < 0:
+				case newIdom < 0:
+					newIdom = p
+				default:
+					newIdom = dt.intersect(p, newIdom)
 				}
 			}
-			if newIdom >= 0 && dt.idom[i+1] != newIdom {
-				dt.idom[i+1] = newIdom
+			if newIdom >= 0 && dt.idom[i] != newIdom {
+				dt.idom[i] = newIdom
 				changed = true
 			}
 		}
 	}
-	return dt
 }
 
-// reversePostorder lists the blocks reachable from entry in reverse
-// postorder of a depth-first walk that takes successors in order. seen
-// is scratch indexed by block ID, negative on entry.
-func reversePostorder(f *Func, entry *Block, seen []int32) []*Block {
-	type frame struct {
-		b    *Block
-		next int
+// Reserve sizes dt's tables for functions of up to blocks block IDs, so
+// that Compute allocates nothing for them.
+func (dt *DomTree) Reserve(blocks int) {
+	if cap(dt.order) < blocks {
+		dt.reserveNumbers(blocks)
 	}
-	var post []*Block
-	stack := []frame{{b: entry}}
-	seen[entry.ID] = 0
-	for len(stack) > 0 {
-		top := &stack[len(stack)-1]
-		succs := top.b.Succs()
-		if top.next < len(succs) {
-			s := succs[top.next]
-			top.next++
-			if f.owns(s) && seen[s.ID] < 0 {
-				seen[s.ID] = 0
-				stack = append(stack, frame{b: s})
-			}
-			continue
-		}
-		post = append(post, top.b)
-		stack = stack[:len(stack)-1]
+	if cap(dt.rpo) < blocks {
+		dt.rpo, dt.stack = make([]*Block, 0, blocks), make([]domFrame, 0, blocks)
 	}
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
+}
+
+// reserveNumbers allocates the four number tables for n block IDs, in
+// one allocation: a block has at most two successors.
+func (dt *DomTree) reserveNumbers(n int) {
+	buf := make([]int32, 5*n+2)
+	dt.order, dt.idom = buf[0:0:n], buf[n:n:2*n]
+	dt.start, dt.preds = buf[2*n:2*n:3*n+2], buf[3*n+2:3*n+2]
 }
 
 func (dt *DomTree) intersect(a, b int32) int32 {

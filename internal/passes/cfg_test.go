@@ -331,6 +331,9 @@ type cfgProbe struct {
 	funcs *int
 	loops *int
 	merge *int
+	// reused is one tree recomputed for every function the probe sees,
+	// as vm.Compile reuses one across a module's functions.
+	reused *ir.DomTree
 }
 
 func (cfgProbe) Name() string { return "cfgprobe" }
@@ -346,19 +349,22 @@ func (p cfgProbe) Run(f *ir.Func, _ *passes.AnalysisManager) (passes.Stats, pass
 	}
 
 	dt, odt := ir.ComputeDom(f), oracleComputeDom(f)
-	for _, b := range f.Blocks {
-		_, reach := odt.idom[b]
-		if dt.Reachable(b) != reach || dt.IDom(b) != odt.idom[b] {
-			t.Errorf("%s: %s reachable %t idom %v, oracle %t %v", where, b.Name, dt.Reachable(b), dt.IDom(b), reach, odt.idom[b])
+	p.reused.Compute(f)
+	for _, tree := range []*ir.DomTree{dt, p.reused} {
+		for _, b := range f.Blocks {
+			_, reach := odt.idom[b]
+			if tree.Reachable(b) != reach || tree.IDom(b) != odt.idom[b] {
+				t.Errorf("%s: %s reachable %t idom %v, oracle %t %v", where, b.Name, tree.Reachable(b), tree.IDom(b), reach, odt.idom[b])
+			}
 		}
-	}
-	// Dominance on every pair, or on a stride of pairs in large bodies.
-	stride := 1 + len(f.Blocks)/48
-	for i, a := range f.Blocks {
-		for j := i % stride; j < len(f.Blocks); j += stride {
-			b := f.Blocks[j]
-			if dt.Dominates(a, b) != odt.dominates(a, b) {
-				t.Errorf("%s: dominates(%s, %s) = %t, oracle disagrees", where, a.Name, b.Name, dt.Dominates(a, b))
+		// Dominance on every pair, or on a stride of pairs in large bodies.
+		stride := 1 + len(f.Blocks)/48
+		for i, a := range f.Blocks {
+			for j := i % stride; j < len(f.Blocks); j += stride {
+				b := f.Blocks[j]
+				if tree.Dominates(a, b) != odt.dominates(a, b) {
+					t.Errorf("%s: dominates(%s, %s) = %t, oracle disagrees", where, a.Name, b.Name, tree.Dominates(a, b))
+				}
 			}
 		}
 	}
@@ -491,8 +497,9 @@ func TestCFGMatchesOracle(t *testing.T) {
 		all = append(all, p.Name())
 	}
 	var funcs, loops, merged int
+	reused := &ir.DomTree{}
 	for _, u := range cfgCorpus(t) {
-		compileProbed(t, u, cfgProbe{t: t, prog: u.Name, funcs: &funcs, loops: &loops, merge: &merged}, all...)
+		compileProbed(t, u, cfgProbe{t: t, prog: u.Name, funcs: &funcs, loops: &loops, merge: &merged, reused: reused}, all...)
 	}
 	if funcs == 0 || loops == 0 || merged == 0 {
 		t.Fatalf("the probe saw %d functions, %d loops, %d simplifycfg changes", funcs, loops, merged)

@@ -90,6 +90,16 @@ const (
 	opSelectConv  // select + convert of the selected value
 	opLoadCmpBr   // load + cmp + condbr on its result
 
+	// Register-slot forms: a load, a store or a chain whose memory access
+	// goes through an alloca held in a register slot (see
+	// compiler.giveHomes). Each reads or writes the slot register,
+	// not memory, and keeps the name, steps and cost of its memory form.
+	opLoadSlot        // load (the handler is convert's)
+	opStoreSlot       // store
+	opLoadConvGEPSlot // load_conv_gep
+	opLoadCmpBrSlot   // load_cmp_br
+	opIAddStoreSlot   // iadd_store
+
 	// Chain prefixes: compile-time states of a chain that is emitted only
 	// once its third instruction extends it (isPrefix). They have no
 	// handler and never reach the dispatch loop.
@@ -132,7 +142,10 @@ const maxChain = 3
 // the first's carry the suffix 2. What few ops read lives elsewhere: a
 // call's callee, arguments and target function, and a fell-through
 // trap's block name, in fnCode.cold; an alloca's size in scale; a
-// ubcheck's provenance id in off; an unhandled op's IR opcode in scale.
+// ubcheck's provenance id in off, and in target and elseT the first
+// check of its run, at or after it, that compile time did not decide
+// and the run's last pc (see linkChecks); an unhandled op's IR opcode in
+// scale.
 type instr struct {
 	op opcode
 	// costK is the cost kind of each IR instruction the pc executes, in
@@ -174,8 +187,9 @@ type fnCode struct {
 	name    string
 	idx     int
 	nParams int
-	// numRegs counts the value registers; the register file holds them
-	// followed by one slot per entry of consts.
+	// numRegs counts the value registers and, after them, the register
+	// slots of allocas (compiler.giveHomes); the register file holds
+	// them followed by one slot per entry of consts.
 	numRegs int
 	// consts are the constant operands (literals, global and function
 	// addresses) the function reads. A frame fills its tail slots with
@@ -250,11 +264,34 @@ type compiler struct {
 	fc       *fnCode
 	constIdx map[constKey]int32
 
-	// Per-function tables, indexed by instruction ID (slot, uses) or
-	// block ID (blockPC) and reused across the functions of one Compile.
+	// Per-function tables, indexed by instruction ID (slot, uses, info)
+	// or block ID (blockPC) and reused across the functions of one
+	// Compile.
 	slot    []int32 // value register; -1 for an ID not in the body
 	uses    []int32 // operand uses, metadata excluded
 	blockPC []int32
+	info    []instrInfo
+	// allocas lists the function's allocas in layout order, and farUses
+	// the loads and stores classifyUse left to the dominator tree.
+	allocas, farUses []*ir.Instr
+	// maxIDs and maxBlocks are the largest NumIDs and NumBlockIDs of the
+	// module's functions; the tables are allocated once, at that size.
+	maxIDs, maxBlocks int
+	// firstHome is the first register slot; slots run up to numRegs.
+	firstHome int32
+	// dom holds the function's dominators, computed on the first query
+	// the entry and same-block rules cannot answer (see dominates), in
+	// tables reused across functions.
+	dom   ir.DomTree
+	domOK bool
+	// plainFn turns the decisions off for the function being compiled
+	// (see maxLinks).
+	plainFn bool
+
+	// plain turns the compile-time decisions off: no ubcheck is decided
+	// and no alloca gets a register slot. Only tests set it, as the
+	// reference the decisions are checked against.
+	plain bool
 }
 
 type constKey struct {
@@ -268,13 +305,25 @@ type constKey struct {
 // reproduce the interpreter's runtime error at the same program point,
 // so unreachable oddities stay unobservable — exactly as they are under
 // the tree-walker.
-func Compile(mod *ir.Module) *Program {
+func Compile(mod *ir.Module) *Program { return compile(mod, false) }
+
+func compile(mod *ir.Module, plain bool) *Program {
 	p := &Program{
 		byName:  make(map[string]*fnCode),
 		globals: make(map[string]int64),
 	}
-	c := &compiler{p: p, constIdx: make(map[constKey]int32)}
+	c := &compiler{p: p, constIdx: make(map[constKey]int32), plain: plain}
 	c.funcAddrs, p.funcNames = interp.BuildFuncTable(mod)
+	// Size the per-function tables for the largest function once.
+	for _, f := range mod.Funcs {
+		c.maxIDs = max(c.maxIDs, f.NumIDs())
+		c.maxBlocks = max(c.maxBlocks, f.NumBlockIDs())
+	}
+	c.slot, c.uses = make([]int32, 0, c.maxIDs), make([]int32, 0, c.maxIDs)
+	c.blockPC = make([]int32, 0, c.maxBlocks)
+	// One allocation backs both alloca lists up to 64 entries each.
+	lists := make([]*ir.Instr, 128)
+	c.allocas, c.farUses = lists[:0:64], lists[64:64]
 
 	// Lay out globals with the same allocation rule as interp.New so
 	// every address the two engines hand out is identical.
@@ -393,7 +442,7 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 		fc.empty = true
 		return
 	}
-	c.fn, c.fc = f, fc
+	c.fn, c.fc, c.domOK, c.plainFn = f, fc, false, false
 	clear(c.constIdx)
 	c.slot = resize(c.slot, f.NumIDs())
 	for i := range c.slot {
@@ -402,7 +451,8 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 	next := int32(len(f.Params))
 	// maxCode bounds the pcs: one per instruction but metadata, one trap
 	// per unterminated block; fusion only saves some.
-	maxCode := 0
+	maxCode, small, checks := 0, 0, 0
+	c.allocas = c.allocas[:0]
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			c.slot[in.ID] = next
@@ -410,32 +460,56 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 			if in.Op != ir.OpMustNotAlias {
 				maxCode++
 			}
+			switch {
+			case in.Op == ir.OpAlloca && in.AllocSz <= 8:
+				small++
+				fallthrough
+			case in.Op == ir.OpAlloca:
+				c.allocas = append(c.allocas, in)
+			case in.Op == ir.OpUBCheck:
+				checks++
+			}
 		}
 		if b.Terminator() == nil {
 			maxCode++
 		}
 	}
-	fc.numRegs = int(next)
-
-	// Use counts gate superinstruction fusion: a producer may only be
-	// folded into its consumer when nothing else reads it. Metadata
-	// operands do not count: mustnotalias emits no code, so nothing reads
-	// a register through it. Only instructions can be fused producers, so
-	// only they are counted.
+	// One pass over the operands counts uses and, when the function needs
+	// them, classifies the uses of its allocas (decide.go). Use counts gate
+	// superinstruction fusion: a producer may only be folded into its
+	// consumer when nothing else reads it. Metadata operands do not count:
+	// mustnotalias emits no code, so nothing reads a register through it.
+	// Only instructions can be fused producers, so only they are counted.
+	// The alloca analysis serves register slots, which only allocas of at
+	// most 8 bytes get, and the checks, which read its flags only for an
+	// alloca root; a function with neither skips it.
 	c.uses = resize(c.uses, f.NumIDs())
 	clear(c.uses)
+	analyze := !c.plain && (small > 0 || checks > 0 && len(c.allocas) > 0)
+	if analyze {
+		c.startAllocas(f)
+	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpMustNotAlias {
-				continue
-			}
-			for _, a := range in.Args {
-				if x, ok := a.(*ir.Instr); ok && c.regOf(x) >= 0 {
+			for k, a := range in.Args {
+				x, ok := a.(*ir.Instr)
+				if !ok || c.regOf(x) < 0 {
+					continue
+				}
+				if in.Op != ir.OpMustNotAlias {
 					c.uses[x.ID]++
+				}
+				if analyze && (x.Op == ir.OpAlloca || derives(x)) {
+					c.classifyUse(in, k, x)
 				}
 			}
 		}
 	}
+	c.firstHome = next
+	if analyze && !c.plainFn {
+		next = c.giveHomes(next)
+	}
+	fc.numRegs = int(next)
 
 	c.blockPC = resize(c.blockPC, f.NumBlockIDs())
 	clear(c.blockPC)
@@ -488,12 +562,20 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 		}
 	}
 	// Patch branch targets, compiled as block IDs, now that every block
-	// has a pc.
+	// has a pc, and give the accesses through a register slot their slot
+	// forms, now that chains are formed.
+	slots := c.firstHome < int32(fc.numRegs)
 	for i := range code {
 		switch in := &code[i]; in.op {
 		case opBr, opCondBr, opCmpBr, opLoadCmpBr:
 			in.target, in.elseT = c.pcAt(in.target), c.pcAt(in.elseT)
 		}
+		if slots {
+			code[i].op = c.slotForm(&code[i])
+		}
+	}
+	if checks > 0 {
+		c.linkChecks(code, pcIR)
 	}
 	fc.code, fc.pcIR = code, pcIR
 
@@ -568,7 +650,7 @@ func argIndex(in *ir.Instr, v *ir.Instr) int {
 
 func isTerminator(op opcode) bool {
 	switch op {
-	case opBr, opCondBr, opCmpBr, opLoadCmpBr, opRet, opRetVoid, opFellThrough:
+	case opBr, opCondBr, opCmpBr, opLoadCmpBr, opLoadCmpBrSlot, opRet, opRetVoid, opFellThrough:
 		return true
 	}
 	return false
@@ -697,7 +779,7 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		if ptrIsReg(in.Args[0]) {
 			k = costRegMove
 		}
-		return instr{op: opLoad, costK: costs{k}, dst: dst, a: arg(0),
+		return instr{op: opLoad, costK: costs{k}, dst: dst, a: c.addr(in.Args[0]),
 			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpStore:
@@ -705,7 +787,7 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		if ptrIsReg(in.Args[0]) {
 			k = costRegMove
 		}
-		return instr{op: opStore, costK: costs{k}, a: arg(0), b: arg(1)}
+		return instr{op: opStore, costK: costs{k}, a: c.addr(in.Args[0]), b: arg(1)}
 
 	case ir.OpGEP:
 		return instr{op: opGEP, costK: costs{costALUHalf}, dst: dst,

@@ -422,9 +422,10 @@ func cloneVec(v Val) Val {
 // The loop is split into hot and cold code. Its switch holds the ops
 // that make up nearly all dispatches: loads, stores, geps, scalar
 // arithmetic, integer bitwise ops, compares, selects, converts,
-// branches, returns, the fused chains and ubcheck runs. Every other op
-// (calls, vector ops, memset/memcpy, allocas, div/rem, neg/not, traps)
-// runs in execCold, reached from the switch's default. The Go compiler
+// branches, returns, the fused chains, the register-slot forms and
+// ubcheck runs. Every other op (calls, vector ops, memset/memcpy,
+// allocas, div/rem, neg/not, traps) runs in execCold, reached from the
+// switch's default. The Go compiler
 // allocates registers over the whole switch and spills every value that
 // lives across it around each call a case makes, so the loop carries
 // only the machine, the function, its frame, registers and code, pc and
@@ -514,6 +515,15 @@ seg:
 			case opStore:
 				m.setCell(iv(&regs[in.a]), scalar(&regs[in.b]))
 
+			case opStoreSlot:
+				// The slot holds what the cell would: the payload the flag
+				// selects.
+				if v := &regs[in.b]; v.Fl {
+					regs[in.a] = Val{F: v.F, Fl: true}
+				} else {
+					regs[in.a] = Val{I: v.I}
+				}
+
 			case opGEP:
 				regs[in.dst] = Val{I: iv(&regs[in.a]) + iv(&regs[in.b])*in.scale + in.off}
 
@@ -581,7 +591,8 @@ seg:
 					regs[in.dst] = cloneVec(regs[in.c])
 				}
 
-			case opConvert:
+			case opConvert, opLoadSlot:
+				// A slot read converts by value exactly as a cell read does.
 				v := &regs[in.a]
 				if isFloat(in.cls) {
 					regs[in.dst] = Val{F: fl(v), Fl: true}
@@ -647,6 +658,25 @@ seg:
 				}
 				regs[in.dst] = Val{I: gepAt(in, x.i64(), iv(&regs[in.b]))}
 
+			// The slot forms (decide.go) read or write a register where
+			// their memory forms go through cellAt or setCell. Each is a
+			// case of its own: sharing the memory form's case and testing
+			// in.op cost every handler about 2% of kernels' traced
+			// vm.run_ns_per_kcycle (EXPERIMENTS.md).
+			case opLoadConvGEPSlot:
+				x := scalar(&regs[in.a])
+				if isFloat(in.cls) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls, x.i64(), in.unsigned)}
+				}
+				if isFloat(in.cls2) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls2, x.i64(), in.unsigned2)}
+				}
+				regs[in.dst] = Val{I: gepAt(in, x.i64(), iv(&regs[in.b]))}
+
 			case opIAddStore:
 				a, b := &regs[in.a], &regs[in.b]
 				var x cell
@@ -656,6 +686,16 @@ seg:
 					x = cell{I: trunc(in.cls, a.I+b.I, in.unsigned)}
 				}
 				m.setCell(iv(&regs[in.c]), x)
+
+			case opIAddStoreSlot:
+				a, b := &regs[in.a], &regs[in.b]
+				var x cell
+				if a.Fl || b.Fl {
+					x = cell{F: fl(a) + fl(b), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls, a.I+b.I, in.unsigned)}
+				}
+				regs[in.c] = Val{I: x.I, F: x.F, Fl: x.Fl}
 
 			case opFMulFAdd:
 				// The conversion rounds the product, as fmul's register
@@ -703,6 +743,30 @@ seg:
 				}
 				continue seg
 
+			case opLoadCmpBrSlot:
+				x := scalar(&regs[in.a])
+				if isFloat(in.cls) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls, x.i64(), in.unsigned)}
+				}
+				o := scalar(&regs[in.b])
+				if in.pos != 0 {
+					x, o = o, x
+				}
+				var r bool
+				if x.Fl || o.Fl {
+					r = ir.CompareFloat(ir.Pred(in.pred), x.f64(), o.f64())
+				} else {
+					r = ir.CompareInt(ir.Pred(in.pred), x.I, o.I, in.unsigned2)
+				}
+				if r {
+					pc = int(in.target)
+				} else {
+					pc = int(in.elseT)
+				}
+				continue seg
+
 			case opRet:
 				return cloneVec(regs[in.a]), nil
 
@@ -710,7 +774,14 @@ seg:
 				return Val{}, nil
 
 			case opUBCheck:
-				pc = m.ubcheckRun(fc, regs, pc, end)
+				// target is the first check left to evaluate (linkChecks);
+				// a run decided at compile time only moves pc to its last
+				// check, or to where profiling or a budget trip cut it.
+				if t := int(in.target); t < end {
+					pc = m.ubcheckRun(fc, regs, t, end)
+				} else {
+					pc = min(int(in.elseT), end-1)
+				}
 
 			default:
 				if err := m.execCold(fc, fr, in); err != nil {
@@ -1146,25 +1217,29 @@ func (fr *frame) lanes(in *instr) []Val {
 	return b[:w:w]
 }
 
-// ubcheckRun executes the ubcheck at pc and every ubcheck that directly
-// follows it before end, in one dispatch, and returns the last one's pc.
-// Each keeps its pc, step and cost, and a budget trip or profiling
-// shortens end, so both still see every check. It stays out of callFn:
-// a loop inside the dispatch switch costs every other handler (DESIGN.md
-// §9).
+// ubcheckRun evaluates the undecided ubcheck at pc and every undecided
+// check after it in its run before end, following the links linkChecks
+// set, in one dispatch, and returns the pc of the run's last check
+// before end. Every check keeps its pc, step and cost, and a budget trip
+// or profiling shortens end, so both still see every check. It stays out
+// of callFn: a loop inside the dispatch switch costs every other handler
+// (DESIGN.md §9).
 //
 //go:noinline
 func (m *Machine) ubcheckRun(fc *fnCode, regs []Val, pc, end int) int {
+	code := fc.code
 	for {
-		in := &fc.code[pc]
+		in := &code[pc]
 		if p := iv(&regs[in.a]); p == iv(&regs[in.b]) {
 			m.SanFailures = append(m.SanFailures,
 				&interp.SanitizerFailure{Fn: fc.name, Addr: p, Meta: int(in.off)})
 		}
-		if pc+1 == end || fc.code[pc+1].op != opUBCheck {
+		if pc == int(in.elseT) {
 			return pc
 		}
-		pc++
+		if pc = int(code[pc+1].target); pc >= end {
+			return min(int(in.elseT), end-1)
+		}
 	}
 }
 

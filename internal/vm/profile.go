@@ -70,8 +70,14 @@ var opTable = [numOpcodes]struct {
 	opFMulFAdd:      {"fmul_fadd", 2},
 	opSelectConv:    {"select_conv", 2},
 	opLoadCmpBr:     {"load_cmp_br", 3},
-	opLoadConv:      {"load_conv", 2},
-	opLoadCmp:       {"load_cmp", 2},
+	// Register-slot forms report under their memory forms' names.
+	opLoadSlot:        {"load", 1},
+	opStoreSlot:       {"store", 1},
+	opLoadConvGEPSlot: {"load_conv_gep", 3},
+	opLoadCmpBrSlot:   {"load_cmp_br", 3},
+	opIAddStoreSlot:   {"iadd_store", 2},
+	opLoadConv:        {"load_conv", 2},
+	opLoadCmp:         {"load_cmp", 2},
 }
 
 // OpSteps maps every bytecode op name that OpMix and profile samples
