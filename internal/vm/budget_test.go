@@ -68,9 +68,10 @@ func runBudgeted(mod *ir.Module, prog *vm.Program, costs interp.CostModel, tree 
 // budgetModule is a hand-built program whose segments hold every shape
 // the budget can trip inside: a memset, a call in the middle of a block,
 // register-class slot traffic, a run of ubchecks (one of which fails),
-// and every fused chain the vm forms, with the produced value at each
-// operand position a two-operand half can take it. TestStepBudget
-// checks that the vm really fuses each one.
+// every fused chain the vm forms, with the produced value at each
+// operand position a two-operand half can take it, every pc a slot load
+// folds into and every pc a fall-through br trails. TestStepBudget
+// checks that the vm really forms each one.
 func budgetModule() *ir.Module {
 	m := &ir.Module{Name: "budget"}
 	arr := &ir.Global{Name: "arr", Size: 128, ElemClass: ir.I64}
@@ -81,10 +82,19 @@ func budgetModule() *ir.Module {
 	helper.Params = []*ir.Param{x}
 	hb := helper.NewBlock("entry")
 	dbl := hb.Append(&ir.Instr{Op: ir.OpMul, Cls: ir.I64, Args: []ir.Value{x, ir.ConstInt(ir.I64, 2)}})
-	hb.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{dbl}})
+	// A slot load folded into the ret. The product of a parameter may
+	// carry a float tag, so the slot store converts it as the load would.
+	hs := hb.Append(&ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	hb.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{hs, dbl}})
+	hv := hb.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{hs}})
+	hb.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{hv}})
 
 	f := &ir.Func{Name: "main", Ret: ir.I64}
-	entry, loop, exit := f.NewBlock("entry"), f.NewBlock("loop"), f.NewBlock("exit")
+	entry, loop := f.NewBlock("entry"), f.NewBlock("loop")
+	// fall1, fall2, fall3 and back follow loop in layout, each entered by
+	// the br that closes the block before it.
+	fall1, fall2, fall3, back := f.NewBlock("fall1"), f.NewBlock("fall2"), f.NewBlock("fall3"), f.NewBlock("back")
+	exit := f.NewBlock("exit")
 	add := func(b *ir.Block, in *ir.Instr) *ir.Instr { return b.Append(in) }
 	i64 := func(v int64) ir.Value { return ir.ConstInt(ir.I64, v) }
 	f64 := func(v float64) ir.Value { return ir.ConstFloat(ir.F64, v) }
@@ -95,6 +105,17 @@ func budgetModule() *ir.Module {
 	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{fslot, f64(1.5)}})
 	pslot := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
 	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{pslot, arr}})
+	// Slots whose loads copy them, for the folds: a pointer, 64-bit
+	// integers and a 32-bit one.
+	kp := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	k64 := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	k4 := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	ks32 := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 4})
+	ksum := add(entry, &ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{kp, arr}})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{k64, i64(3)}})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{k4, i64(4)}})
+	add(entry, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{ks32, ir.ConstInt(ir.I32, 2)}})
 	add(entry, &ir.Instr{Op: ir.OpMemset, Cls: ir.Void, Scale: 8,
 		Args: []ir.Value{arr, i64(3), i64(128)}})
 	add(entry, &ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: loop})
@@ -155,17 +176,66 @@ func budgetModule() *ir.Module {
 	vl := add(loop, &ir.Instr{Op: ir.OpVecLoad, Cls: ir.I64, Width: 2, Args: []ir.Value{vp}})
 	vq := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Off: 48, Args: []ir.Value{arr, i}})
 	add(loop, &ir.Instr{Op: ir.OpVecStore, Cls: ir.I64, Width: 2, Args: []ir.Value{vq, vl}})
+	// Slot loads folded into the pc after them, one step pcs first:
+	// fold_load, a pointer read from a slot and loaded through.
+	ld := func(b *ir.Block, slot ir.Value, cls ir.Class) *ir.Instr {
+		return add(b, &ir.Instr{Op: ir.OpLoad, Cls: cls, Args: []ir.Value{slot}})
+	}
+	lv := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{ld(loop, kp, ir.Ptr)}})
+	// fold_gep: a gep with two readers stays on its own.
+	ga := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{ld(loop, kp, ir.Ptr), i}})
+	gl := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{ga}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{ga, gl}})
+	// fold_iadd, fold2_iadd (both operands), fold_isub, fold_imul,
+	// fold_ibits, fold_divrem, fold_cmp and fold_store.
+	s1 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{ld(loop, k64, ir.I64), lv}})
+	x2 := ld(loop, k64, ir.I64)
+	s2 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{x2, ld(loop, k64, ir.I64)}})
+	d1 := add(loop, &ir.Instr{Op: ir.OpSub, Cls: ir.I64, Args: []ir.Value{ld(loop, k64, ir.I64), s2}})
+	p1 := add(loop, &ir.Instr{Op: ir.OpMul, Cls: ir.I64, Args: []ir.Value{d1, ld(loop, k64, ir.I64)}})
+	b1 := add(loop, &ir.Instr{Op: ir.OpAnd, Cls: ir.I64, Args: []ir.Value{ld(loop, k64, ir.I64), p1}})
+	q1 := add(loop, &ir.Instr{Op: ir.OpDiv, Cls: ir.I64, Args: []ir.Value{b1, ld(loop, k64, ir.I64)}})
+	c1 := add(loop, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{ld(loop, k64, ir.I64), q1}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{arr, ld(loop, k64, ir.I64)}})
+	// Ahead of two-, three- and four-step chains: fold_iadd_store,
+	// fold_gep_load, fold_load_conv_gep, fold_load_conv_gep_load and
+	// fold_load_conv_gep_store; then a plain load_conv_gep_store.
+	t1 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{ld(loop, k64, ir.I64), c1}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{ksum, t1}})
+	e1 := add(loop, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{ld(loop, kp, ir.Ptr), i}})
+	ev := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{e1}})
+	idx := func(b *ir.Block, base ir.Value) *ir.Instr {
+		cx := add(b, &ir.Instr{Op: ir.OpConvert, Cls: ir.I64, Args: []ir.Value{ld(b, ks32, ir.I32)}})
+		return add(b, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{base, cx}})
+	}
+	g5 := idx(loop, ld(loop, kp, ir.Ptr))
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{g5, add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{g5}})}})
+	v6 := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{idx(loop, ld(loop, kp, ir.Ptr))}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{idx(loop, ld(loop, kp, ir.Ptr)), ev}})
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{idx(loop, arr), v6}})
+	// Fall-through brs, each closing a block: store_fall (to memory, so
+	// a trip at the br must have run the store), fold_store_fall,
+	// load_conv_gep_store_fall and fold_load_conv_gep_store_fall.
+	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{arr, q1}})
+	add(loop, &ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: fall1})
+	add(fall1, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{arr, ld(fall1, k64, ir.I64)}})
+	add(fall1, &ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: fall2})
+	add(fall2, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{idx(fall2, arr), s1}})
+	add(fall2, &ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: fall3})
+	add(fall3, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{idx(fall3, ld(fall3, kp, ir.Ptr)), lv}})
+	add(fall3, &ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: back})
 	// A run of three ubchecks; the second fails.
-	add(loop, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{arr, fslot}, Meta: 1})
-	add(loop, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{tmp, tmp}, Meta: 2})
-	add(loop, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{slot, tmp}, Meta: 3})
-	// The back edge: iadd_store, then load_cmp_br with the loaded value
-	// first.
-	i1 := add(loop, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{i, i64(1)}})
-	add(loop, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, i1}})
-	ln := add(loop, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{slot}})
-	lt := add(loop, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{ln, i64(4)}})
-	add(loop, &ir.Instr{Op: ir.OpCondBr, Cls: ir.Void, Args: []ir.Value{lt}, Then: loop, Else: exit})
+	add(back, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{arr, fslot}, Meta: 1})
+	add(back, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{tmp, tmp}, Meta: 2})
+	add(back, &ir.Instr{Op: ir.OpUBCheck, Cls: ir.Void, Args: []ir.Value{slot, tmp}, Meta: 3})
+	// The back edge: iadd_store, then fold_load_cmp_br with the loaded
+	// value first.
+	i1 := add(back, &ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{i, i64(1)}})
+	add(back, &ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{slot, i1}})
+	lim := ld(back, k4, ir.I64)
+	ln := add(back, &ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{slot}})
+	lt := add(back, &ir.Instr{Op: ir.OpCmp, Cls: ir.I32, Pred: ir.Lt, Args: []ir.Value{ln, lim}})
+	add(back, &ir.Instr{Op: ir.OpCondBr, Cls: ir.Void, Args: []ir.Value{lt}, Then: loop, Else: exit})
 
 	// gep_load and cmp_br.
 	last := add(exit, &ir.Instr{Op: ir.OpGEP, Cls: ir.Ptr, Scale: 8, Args: []ir.Value{arr, i64(4)}})
@@ -325,27 +395,37 @@ func TestHandlerErrorCharges(t *testing.T) {
 	cases := []struct {
 		name, want string
 		fault      func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value
+		// shape, when set, is a pc name the compiled main must hold.
+		shape string
 	}{
 		{"division-by-zero", "division by zero in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			return b.Append(bin(ir.OpDiv, ir.I64, x, i64(0)))
-		}},
+		}, ""},
+		{"division-by-folded-zero", "division by zero in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
+			// The zero divisor is a slot load folded into the div, whose
+			// step retires before the div fails.
+			s := b.Append(&ir.Instr{Op: ir.OpAlloca, Cls: ir.Ptr, AllocSz: 8})
+			b.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{s, i64(0)}})
+			z := b.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{s}})
+			return b.Append(bin(ir.OpDiv, ir.I64, x, z))
+		}, "fold_divrem"},
 		{"float-tagged-bitwise", "bitwise op and on float operands in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			h := b.Append(bin(ir.OpMul, ir.F64, x, ir.ConstFloat(ir.F64, 0.5)))
 			return b.Append(bin(ir.OpAnd, ir.I64, x, h))
-		}},
+		}, ""},
 		{"float-class-bitwise", "bitwise op xor on float operands in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			return b.Append(bin(ir.OpXor, ir.F64, x, i64(3)))
-		}},
+		}, ""},
 		{"undefined-callee", `call to undefined "nowhere" from main`, func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			return b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Callee: "nowhere", Args: []ir.Value{x}})
-		}},
+		}, ""},
 		{"bad-indirect-call", "bad indirect call in main", func(_ *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			return b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Args: []ir.Value{i64(0), x}})
-		}},
+		}, ""},
 		{"fell-through", "block entry0 fell through in main", func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			b.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{m.Globals[0], x}})
 			return nil
-		}},
+		}, ""},
 		{"callee-error", "division by zero in inner", func(m *ir.Module, b *ir.Block, x ir.Value) ir.Value {
 			inner := &ir.Func{Name: "inner", Ret: ir.I64}
 			p := &ir.Param{Name: "p", Cls: ir.I64, Idx: 0}
@@ -357,7 +437,7 @@ func TestHandlerErrorCharges(t *testing.T) {
 			ib.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{r}})
 			m.Funcs = append(m.Funcs, inner)
 			return b.Append(&ir.Instr{Op: ir.OpCall, Cls: ir.I64, Callee: "inner", Args: []ir.Value{x}})
-		}},
+		}, ""},
 	}
 	costs := interp.DefaultCosts()
 	costs.ICacheThreshold = 2
@@ -366,6 +446,9 @@ func TestHandlerErrorCharges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mod := faultModule(tc.fault)
 			prog := vm.Compile(mod)
+			if tc.shape != "" && vm.CodeShapes(prog)[tc.shape] == 0 {
+				t.Fatalf("compiled code has no %s pc (shapes %v)", tc.shape, vm.CodeShapes(prog))
+			}
 			for _, prof := range []bool{false, true} {
 				ti := runBudgeted(mod, prog, costs, true, math.MaxInt64, prof)
 				tv := runBudgeted(mod, prog, costs, false, math.MaxInt64, prof)
@@ -380,5 +463,48 @@ func TestHandlerErrorCharges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTripAtTrailingBr: when the step budget runs out at a fall-through
+// br that trails a store, the store has run: both engines leave the same
+// value in memory, and the same retired count and milli-cycles.
+func TestTripAtTrailingBr(t *testing.T) {
+	m := &ir.Module{Name: "trailing"}
+	g := &ir.Global{Name: "g", Size: 8, ElemClass: ir.I64}
+	m.Globals = append(m.Globals, g)
+	f := &ir.Func{Name: "main", Ret: ir.I64}
+	entry, next := f.NewBlock("entry"), f.NewBlock("next")
+	v := entry.Append(&ir.Instr{Op: ir.OpLoad, Cls: ir.I64, Args: []ir.Value{g}})
+	s := entry.Append(&ir.Instr{Op: ir.OpAdd, Cls: ir.I64, Args: []ir.Value{v, ir.ConstInt(ir.I64, 7)}})
+	entry.Append(&ir.Instr{Op: ir.OpStore, Cls: ir.Void, Args: []ir.Value{g, ir.ConstInt(ir.I64, 5)}})
+	entry.Append(&ir.Instr{Op: ir.OpBr, Cls: ir.Void, Target: next})
+	next.Append(&ir.Instr{Op: ir.OpRet, Cls: ir.Void, Args: []ir.Value{s}})
+	m.Funcs = append(m.Funcs, f)
+	prog := vm.Compile(m)
+	if vm.CodeShapes(prog)["store_fall"] == 0 {
+		t.Fatalf("the store takes no trailing br (shapes %v)", vm.CodeShapes(prog))
+	}
+	for budget := int64(0); budget <= 5; budget++ {
+		for _, prof := range []bool{false, true} {
+			ti := interp.New(m, interp.DefaultCosts())
+			ti.MaxSteps = budget
+			tv := vm.New(prog, interp.DefaultCosts())
+			tv.MaxSteps = budget
+			if prof {
+				ti.EnableProfile()
+				tv.EnableProfile()
+			}
+			_, errI := ti.Run("main")
+			_, errV := tv.Run("main")
+			addr, _ := tv.GlobalAddr("g")
+			if (errI == nil) != (errV == nil) || ti.ReadI64(addr) != tv.ReadI64(addr) ||
+				ti.Executed != tv.Executed || ti.MilliCycles() != tv.MilliCycles() {
+				t.Errorf("MaxSteps %d profile %v: tree %v g=%d %d retired %d milli; vm %v g=%d %d retired %d milli",
+					budget, prof, errI, ti.ReadI64(addr), ti.Executed, ti.MilliCycles(),
+					errV, tv.ReadI64(addr), tv.Executed, tv.MilliCycles())
+			}
+			tv.Release()
+		}
 	}
 }

@@ -72,33 +72,38 @@ const (
 	opFellThrough // non-terminated block reached at runtime
 	opUnhandled   // op the engine does not implement, trapped lazily
 
-	// Fused superinstructions: a chain of two or three adjacent IR
+	// Fused superinstructions: a chain of two to four adjacent IR
 	// instructions from one source line, each but the last read only by
 	// the next (DESIGN.md §9). One dispatch executes the whole chain; the
-	// pc counts one step per instruction and carries each one's cost kind
-	// (costK), so segment charging sees the unfused totals. The dead
-	// intermediate registers are never written. The comment on tryFuse
-	// lists the fields each one reads.
-	opCmpBr       // cmp + condbr on its result
-	opGEPLoad     // gep + scalar load through it
-	opGEPStore    // gep + scalar store through it
-	opGEPVecLoad  // gep + vector load through it
-	opGEPVecStore // gep + vector store through it
-	opLoadConvGEP // load + convert + gep on the converted value
-	opIAddStore   // int add + store of the sum
-	opFMulFAdd    // float mul + float add of the product
-	opSelectConv  // select + convert of the selected value
-	opLoadCmpBr   // load + cmp + condbr on its result
+	// pc counts one step per instruction and fnCode.kinds carries each
+	// one's cost kind, so segment charging sees the unfused totals. The
+	// dead intermediate registers are never written. The comment on
+	// tryFuse lists the fields each one reads.
+	opCmpBr            // cmp + condbr on its result
+	opGEPLoad          // gep + scalar load through it
+	opGEPStore         // gep + scalar store through it
+	opGEPVecLoad       // gep + vector load through it
+	opGEPVecStore      // gep + vector store through it
+	opLoadConvGEP      // load + convert + gep on the converted value
+	opIAddStore        // int add + store of the sum
+	opFMulFAdd         // float mul + float add of the product
+	opSelectConv       // select + convert of the selected value
+	opLoadCmpBr        // load + cmp + condbr on its result
+	opLoadConvGEPLoad  // load_conv_gep + scalar load through the address
+	opLoadConvGEPStore // load_conv_gep + scalar store through the address
 
 	// Register-slot forms: a load, a store or a chain whose memory access
 	// goes through an alloca held in a register slot (see
 	// compiler.giveHomes). Each reads or writes the slot register,
 	// not memory, and keeps the name, steps and cost of its memory form.
-	opLoadSlot        // load (the handler is convert's)
-	opStoreSlot       // store
-	opLoadConvGEPSlot // load_conv_gep
-	opLoadCmpBrSlot   // load_cmp_br
-	opIAddStoreSlot   // iadd_store
+	opLoadSlot             // load (the handler is convert's)
+	opStoreSlot            // store
+	opStoreConvSlot        // store that converts (the handler is convert's)
+	opLoadConvGEPSlot      // load_conv_gep
+	opLoadCmpBrSlot        // load_cmp_br
+	opIAddStoreSlot        // iadd_store
+	opLoadConvGEPLoadSlot  // load_conv_gep_load
+	opLoadConvGEPStoreSlot // load_conv_gep_store
 
 	// Chain prefixes: compile-time states of a chain that is emitted only
 	// once its third instruction extends it (isPrefix). They have no
@@ -130,33 +135,31 @@ const (
 	numCostKinds
 )
 
-// maxChain is the most IR instructions one fused pc executes.
-const maxChain = 3
+// maxChain is the most IR instructions one fused chain executes; folded
+// slot loads and a trailing br come on top (compiler.seal, fallThrough).
+const maxChain = 4
 
 // instr is one bytecode instruction, the record the dispatch loop reads.
 // Operand fields a/b/c are register-file slots: the function's value
 // registers, or one of the constant slots at the tail of the register
 // file (see fnCode.consts). Branch targets are pre-resolved pc values.
 // Class, opcode and predicate fields hold ir.Class, ir.Op and ir.Pred
-// narrowed to a byte; fields a fused chain's later half needs besides
-// the first's carry the suffix 2. What few ops read lives elsewhere: a
-// call's callee, arguments and target function, and a fell-through
-// trap's block name, in fnCode.cold; an alloca's size in scale; a
-// ubcheck's provenance id in off, and in target and elseT the first
-// check of its run, at or after it, that compile time did not decide
-// and the run's last pc (see linkChecks); an unhandled op's IR opcode in
-// scale.
+// narrowed to a byte; fields a fused chain's later halves need besides
+// the first's carry the suffix 2 or 3. What few ops read lives
+// elsewhere: a call's callee, arguments and target function, and a
+// fell-through trap's block name, in fnCode.cold; an alloca's size in
+// scale; a ubcheck's provenance id in off, and in target and elseT the
+// first check of its run, at or after it, that compile time did not
+// decide and the run's last pc (see linkChecks); an unhandled op's IR
+// opcode in scale; the cost kinds of the IR instructions a pc executes
+// in fnCode.kinds.
 type instr struct {
-	op opcode
-	// costK is the cost kind of each IR instruction the pc executes, in
-	// order; the entries past its step count are costZero.
-	costK     costs
-	cls, cls2 uint8
-	unsigned  bool
-	unsigned2 bool
-	irOp      uint8 // opBin/opIBits/opDivRem: the IR opcode
-	vecOp     uint8
-	pred      uint8
+	op                             opcode
+	cls, cls2, cls3                uint8
+	unsigned, unsigned2, unsigned3 bool
+	irOp                           uint8 // opBin/opIBits/opDivRem: the IR opcode
+	vecOp                          uint8
+	pred                           uint8
 	// pos is the operand index at which a fused chain's produced value
 	// enters its two-operand half (gep, cmp, fadd).
 	pos     uint8
@@ -170,9 +173,6 @@ type instr struct {
 	scale   int64
 	off     int64
 }
-
-// costs lists the cost kinds of the IR instructions one pc executes.
-type costs [maxChain]uint8
 
 // coldOp is the payload of a call or a fell-through trap, kept out of
 // the dispatched record.
@@ -202,18 +202,24 @@ type fnCode struct {
 	code       []instr
 	cold       []coldOp
 	// steps is the step prefix sum over code: steps[pc] counts the
-	// interpreter steps of code[:pc] (a fused chain counts one per IR
-	// instruction, the fell-through trap 0). segEnd[pc] is the exclusive
-	// end of the straight-line segment holding pc: segments start at a
-	// block or after a call and end at a terminator or a call (DESIGN.md
-	// §9).
+	// interpreter steps of code[:pc] (a pc counts one per IR instruction
+	// it executes, the fell-through trap 0). kinds is the cost kind of
+	// every step: a pc executes consecutive IR instructions, so kinds
+	// lists those of the function's instructions but metadata in layout
+	// order, and code[pc]'s are kinds[steps[pc]:steps[pc+1]]. segEnd[pc]
+	// is the exclusive end of the straight-line segment holding pc:
+	// segments start at a block or after a call and end at a terminator
+	// or a call (DESIGN.md §9); a block entered by a trailing br
+	// continues its predecessor's.
 	steps  []int32
+	kinds  []uint8
 	segEnd []int32
 	// pcIR is the side line table, parallel to code: the IR instruction
-	// each pc starts with (a fused chain's first, all of whose
-	// instructions share its source line), nil for the fell-through trap.
-	// It is consulted only when a profile is exported, never by the
-	// dispatch loop.
+	// each pc's op starts with (a fused chain's first; a folded slot load
+	// and a trailing br, before and after it, share its source line, as
+	// every instruction of the chain does), nil for the fell-through
+	// trap. It is consulted only when a profile is exported and by
+	// compile-time passes, never by the dispatch loop.
 	pcIR []*ir.Instr
 	// profOff is this function's base offset into a Machine's flat
 	// per-pc profile counter array (see Machine.Profile).
@@ -288,6 +294,18 @@ type compiler struct {
 	// (see maxLinks).
 	plainFn bool
 
+	// code, pcIR and steps are the function's code, line table and step
+	// prefix sums while compileFunc builds them (steps without its final
+	// entry), and kinds its cost kinds.
+	code  []instr
+	pcIR  []*ir.Instr
+	steps []int32
+	kinds []uint8
+	// blockStart is the first pc of the block being compiled, and slots
+	// whether the function has register slots (see seal).
+	blockStart int
+	slots      bool
+
 	// plain turns the compile-time decisions off: no ubcheck is decided
 	// and no alloca gets a register slot. Only tests set it, as the
 	// reference the decisions are checked against.
@@ -319,7 +337,8 @@ func compile(mod *ir.Module, plain bool) *Program {
 		c.maxIDs = max(c.maxIDs, f.NumIDs())
 		c.maxBlocks = max(c.maxBlocks, f.NumBlockIDs())
 	}
-	c.slot, c.uses = make([]int32, 0, c.maxIDs), make([]int32, 0, c.maxIDs)
+	ids := make([]int32, 2*c.maxIDs)
+	c.slot, c.uses = ids[:0:c.maxIDs], ids[c.maxIDs:c.maxIDs]
 	c.blockPC = make([]int32, 0, c.maxBlocks)
 	// One allocation backs both alloca lists up to 64 entries each.
 	lists := make([]*ir.Instr, 128)
@@ -513,10 +532,14 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 
 	c.blockPC = resize(c.blockPC, f.NumBlockIDs())
 	clear(c.blockPC)
-	code, pcIR := make([]instr, 0, maxCode), make([]*ir.Instr, 0, maxCode)
-	for _, b := range f.Blocks {
-		start := int32(len(code))
-		c.blockPC[b.ID] = start
+	// One allocation backs the step prefix sums and segment ends.
+	pcs := make([]int32, 2*maxCode+1)
+	c.code, c.pcIR, c.kinds = make([]instr, 0, maxCode), make([]*ir.Instr, 0, maxCode), make([]uint8, 0, maxCode)
+	c.steps = pcs[: 0 : maxCode+1]
+	c.slots = c.firstHome < int32(fc.numRegs)
+	for bi, b := range f.Blocks {
+		start := len(c.code)
+		c.blockPC[b.ID], c.blockStart = int32(start), start
 		// tail is the IR instruction whose result the last pc produces.
 		// While the last pc is a chain prefix, head and last are its two
 		// halves as compiled on their own.
@@ -527,6 +550,7 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 				continue // metadata: emits no machine code
 			}
 			fc.nonMeta++
+			c.kinds = append(c.kinds, costKind(in))
 			ins := c.compileInstr(fc, in)
 			switch ins.op {
 			case opVecLoad, opVecSplat, opVecBin, opVecBinF, opVecBinI,
@@ -537,41 +561,41 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 				ins.aux = int32(fc.numVecDsts)
 				fc.numVecDsts++
 			}
-			if n := len(code); n > int(start) && c.uses[tail.ID] == 1 && sameLine(pcIR[n-1], in) {
-				if fused, ok := tryFuse(&code[n-1], &ins, argIndex(in, tail)); ok {
+			if n := len(c.code); n > start && c.uses[tail.ID] == 1 && sameLine(c.pcIR[n-1], in) {
+				if fused, ok := tryFuse(&c.code[n-1], &ins, argIndex(in, tail)); ok {
 					if isPrefix(fused.op) {
-						head, last = code[n-1], ins
+						head, last = c.code[n-1], ins
 					}
-					code[n-1] = fused
+					c.code[n-1] = fused
 					tail = in
 					continue
 				}
 			}
-			code, pcIR = splitPrefix(code, pcIR, head, last, tail)
-			code = append(code, ins)
-			pcIR = append(pcIR, in)
+			c.splitPrefix(head, last, tail)
+			c.emit(ins, in, len(c.kinds)-1)
 			tail = in
 		}
-		code, pcIR = splitPrefix(code, pcIR, head, last, tail)
+		c.splitPrefix(head, last, tail)
+		if c.slots {
+			c.seal()
+		}
 		// A block whose last instruction is not a terminator falls
 		// through at runtime under the interpreter; reproduce that as a
 		// trap so the error (if ever reached) is identical.
-		if n := len(code); n == int(start) || !isTerminator(code[n-1].op) {
-			code = append(code, instr{op: opFellThrough, cold: fc.addCold(coldOp{name: b.Name})})
-			pcIR = append(pcIR, nil)
+		if n := len(c.code); n == start || !isTerminator(c.code[n-1].op) {
+			c.push(instr{op: opFellThrough, cold: fc.addCold(coldOp{name: b.Name})}, nil, len(c.kinds))
+		}
+		if bi+1 < len(f.Blocks) {
+			c.fallThrough(start, f.Blocks[bi+1])
 		}
 	}
 	// Patch branch targets, compiled as block IDs, now that every block
-	// has a pc, and give the accesses through a register slot their slot
-	// forms, now that chains are formed.
-	slots := c.firstHome < int32(fc.numRegs)
+	// has a pc.
+	code, pcIR := c.code, c.pcIR
 	for i := range code {
 		switch in := &code[i]; in.op {
-		case opBr, opCondBr, opCmpBr, opLoadCmpBr:
+		case opBr, opCondBr, opCmpBr, opLoadCmpBr, opLoadCmpBrSlot:
 			in.target, in.elseT = c.pcAt(in.target), c.pcAt(in.elseT)
-		}
-		if slots {
-			code[i].op = c.slotForm(&code[i])
 		}
 	}
 	if checks > 0 {
@@ -579,20 +603,33 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 	}
 	fc.code, fc.pcIR = code, pcIR
 
-	// Step prefix sums and segment ends (walked backwards: a terminator
-	// or call closes the segment that the pcs before it belong to).
-	fc.steps = make([]int32, len(fc.code)+1)
-	for pc := range fc.code {
-		fc.steps[pc+1] = fc.steps[pc] + stepsOf(fc.code[pc].op)
-	}
-	fc.segEnd = make([]int32, len(fc.code))
-	end := int32(len(fc.code))
-	for pc := len(fc.code) - 1; pc >= 0; pc-- {
-		if op := fc.code[pc].op; isTerminator(op) || op == opCallFn || op == opCallIndirect {
+	// The step prefix sums' last entry, and the segment ends (walked
+	// backwards: a terminator or call closes the segment that the pcs
+	// before it belong to).
+	fc.steps, fc.kinds = append(c.steps, int32(len(c.kinds))), c.kinds
+	fc.segEnd = pcs[len(fc.steps) : len(fc.steps)+len(code)]
+	end := int32(len(code))
+	for pc := len(code) - 1; pc >= 0; pc-- {
+		if op := code[pc].op; isTerminator(op) || op == opCallFn || op == opCallIndirect {
 			end = int32(pc + 1)
 		}
 		fc.segEnd[pc] = end
 	}
+}
+
+// emit seals the last pc and appends the pc ins, whose first IR
+// instruction is in and whose first step is step.
+func (c *compiler) emit(ins instr, in *ir.Instr, step int) {
+	if c.slots {
+		c.seal()
+	}
+	c.push(ins, in, step)
+}
+
+// push appends the pc ins, whose first IR instruction is in (nil for
+// none) and whose first step is step.
+func (c *compiler) push(ins instr, in *ir.Instr, step int) {
+	c.code, c.pcIR, c.steps = append(c.code, ins), append(c.pcIR, in), append(c.steps, int32(step))
 }
 
 // splitPrefix puts back the two halves, head and last (compiled from
@@ -600,12 +637,11 @@ func (c *compiler) compileFunc(f *ir.Func, fc *fnCode) {
 // because no instruction extended it. The last half would fuse with
 // nothing after the split either: convert starts no chain, and cmp only
 // cmp_br, whose condbr would have extended load_cmp.
-func splitPrefix(code []instr, pcIR []*ir.Instr, head, last instr, lastIR *ir.Instr) ([]instr, []*ir.Instr) {
-	if n := len(code); n > 0 && isPrefix(code[n-1].op) {
-		code[n-1] = head
-		code, pcIR = append(code, last), append(pcIR, lastIR)
+func (c *compiler) splitPrefix(head, last instr, lastIR *ir.Instr) {
+	if n := len(c.code); n > 0 && isPrefix(c.code[n-1].op) {
+		c.code[n-1] = head
+		c.emit(last, lastIR, int(c.steps[n-1])+1)
 	}
-	return code, pcIR
 }
 
 // addCold appends a cold payload and returns its index.
@@ -669,7 +705,8 @@ func stepsOf(op opcode) int32 { return int32(opTable[op].steps) }
 // Matching is greedy: a pc fuses with what follows it, and a fused pc
 // may grow by one more instruction up to maxChain. A chain prefix
 // (isPrefix) has no handler; compileFunc splits it again when the next
-// instruction does not extend it.
+// instruction does not extend it. The cost kinds need no merging: a
+// pc's are those of the consecutive instructions it executes.
 //
 // Field use, by op (producer halves first):
 //   - cmp_br: cmp a, b, pred, unsigned; target, elseT.
@@ -678,18 +715,18 @@ func stepsOf(op opcode) int32 { return int32(opTable[op].steps) }
 //     aux, dst or value c.
 //   - load_conv_gep: load a, cls, unsigned; convert cls2, unsigned2;
 //     gep's other operand b at pos, scale, off, dst.
+//   - load_conv_gep_load, load_conv_gep_store: load_conv_gep's fields
+//     but dst; load cls3, unsigned3, dst; store value c.
 //   - iadd_store: add a, b, cls, unsigned; the store's address c.
 //   - fmul_fadd: mul a, b; add's other operand c at pos, dst.
 //   - select_conv: select a, b, c; convert cls, unsigned, dst.
 //   - load_cmp_br: load a, cls, unsigned; cmp's other operand b at pos,
 //     pred, unsigned2; target, elseT.
 func tryFuse(prev, ins *instr, k int) (instr, bool) {
-	n := stepsOf(prev.op)
-	if k < 0 || n >= maxChain {
+	if k < 0 || stepsOf(prev.op) >= maxChain {
 		return instr{}, false
 	}
-	f := instr{costK: prev.costK}
-	f.costK[n] = ins.costK[0]
+	var f instr
 	switch {
 	case prev.op == opCmp && ins.op == opCondBr:
 		f.op, f.a, f.b, f.pred, f.unsigned = opCmpBr, prev.a, prev.b, prev.pred, prev.unsigned
@@ -713,8 +750,13 @@ func tryFuse(prev, ins *instr, k int) (instr, bool) {
 		f.cls2, f.unsigned2 = ins.cls, ins.unsigned
 	case prev.op == opLoadConv && ins.op == opGEP && k <= 1:
 		f = *prev
-		f.costK[n] = ins.costK[0]
 		f.op, f.b, f.pos, f.scale, f.off, f.dst = opLoadConvGEP, other(ins, k), uint8(k), ins.scale, ins.off, ins.dst
+	case prev.op == opLoadConvGEP && k == 0 && ins.op == opLoad:
+		f = *prev
+		f.op, f.cls3, f.unsigned3, f.dst = opLoadConvGEPLoad, ins.cls, ins.unsigned, ins.dst
+	case prev.op == opLoadConvGEP && k == 0 && ins.op == opStore:
+		f = *prev
+		f.op, f.c, f.dst = opLoadConvGEPStore, ins.b, 0
 	case prev.op == opIAdd && ins.op == opStore && k == 1:
 		f.op, f.a, f.b, f.cls, f.unsigned, f.c = opIAddStore, prev.a, prev.b, prev.cls, prev.unsigned, ins.a
 	case prev.op == opFMul && ins.op == opFAdd && k <= 1:
@@ -726,7 +768,6 @@ func tryFuse(prev, ins *instr, k int) (instr, bool) {
 		f.b, f.pos, f.pred, f.unsigned2 = other(ins, k), uint8(k), ins.pred, ins.unsigned
 	case prev.op == opLoadCmp && ins.op == opCondBr:
 		f = *prev
-		f.costK[n] = ins.costK[0]
 		f.op, f.target, f.elseT = opLoadCmpBr, ins.target, ins.elseT
 	default:
 		return instr{}, false
@@ -771,26 +812,18 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 	case ir.OpAlloca:
 		idx := fc.numAllocas
 		fc.numAllocas++
-		return instr{op: opAlloca, costK: costs{costZero}, dst: dst,
+		return instr{op: opAlloca, dst: dst,
 			aux: int32(idx), scale: int64(in.AllocSz)}
 
 	case ir.OpLoad:
-		k := uint8(costMemLoad)
-		if ptrIsReg(in.Args[0]) {
-			k = costRegMove
-		}
-		return instr{op: opLoad, costK: costs{k}, dst: dst, a: c.addr(in.Args[0]),
+		return instr{op: opLoad, dst: dst, a: c.addr(in.Args[0]),
 			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpStore:
-		k := uint8(costMemStore)
-		if ptrIsReg(in.Args[0]) {
-			k = costRegMove
-		}
-		return instr{op: opStore, costK: costs{k}, a: c.addr(in.Args[0]), b: arg(1)}
+		return instr{op: opStore, a: c.addr(in.Args[0]), b: arg(1)}
 
 	case ir.OpGEP:
-		return instr{op: opGEP, costK: costs{costALUHalf}, dst: dst,
+		return instr{op: opGEP, dst: dst,
 			a: arg(0), b: arg(1), scale: int64(in.Scale), off: int64(in.Off)}
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul:
@@ -814,97 +847,97 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		default:
 			op = opIMul
 		}
-		return instr{op: op, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+		return instr{op: op, dst: dst, a: arg(0), b: arg(1),
 			irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
 		if in.Cls.IsFloat() {
 			// Always a hard error at runtime; the generic handler
 			// reproduces ScalarBin's message.
-			return instr{op: opBin, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+			return instr{op: opBin, dst: dst, a: arg(0), b: arg(1),
 				irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 		}
-		return instr{op: opIBits, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+		return instr{op: opIBits, dst: dst, a: arg(0), b: arg(1),
 			irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpDiv, ir.OpRem:
-		return instr{op: opDivRem, costK: costs{costDiv}, dst: dst, a: arg(0), b: arg(1),
+		return instr{op: opDivRem, dst: dst, a: arg(0), b: arg(1),
 			irOp: uint8(in.Op), cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpNeg:
-		return instr{op: opNeg, costK: costs{costALU}, dst: dst, a: arg(0),
+		return instr{op: opNeg, dst: dst, a: arg(0),
 			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpNot:
-		return instr{op: opNot, costK: costs{costALU}, dst: dst, a: arg(0),
+		return instr{op: opNot, dst: dst, a: arg(0),
 			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpCmp:
-		return instr{op: opCmp, costK: costs{costALU}, dst: dst, a: arg(0), b: arg(1),
+		return instr{op: opCmp, dst: dst, a: arg(0), b: arg(1),
 			pred: uint8(in.Pred), unsigned: in.Unsigned}
 
 	case ir.OpSelect:
-		return instr{op: opSelect, costK: costs{costALU}, dst: dst,
+		return instr{op: opSelect, dst: dst,
 			a: arg(0), b: arg(1), c: arg(2)}
 
 	case ir.OpConvert:
-		return instr{op: opConvert, costK: costs{costALUHalf}, dst: dst, a: arg(0),
+		return instr{op: opConvert, dst: dst, a: arg(0),
 			cls: uint8(in.Cls), unsigned: in.Unsigned}
 
 	case ir.OpCall:
 		if in.Callee == "" {
 			// Indirect: first arg is the function pseudo-address,
 			// resolved through the shared table at runtime.
-			return instr{op: opCallIndirect, costK: costs{costZero}, dst: dst,
+			return instr{op: opCallIndirect, dst: dst,
 				a: arg(0), cold: fc.addCold(coldOp{xargs: args(1)}), cls: uint8(in.Cls)}
 		}
 		// The interpreter consults the builtin table before the module,
 		// so the vm resolves in the same order — just once, at compile
 		// time (the module cannot change afterwards).
 		if isBuiltin(in.Callee) {
-			return instr{op: opCallBuiltin, costK: costs{costZero}, dst: dst,
+			return instr{op: opCallBuiltin, dst: dst,
 				cold: fc.addCold(coldOp{name: in.Callee, xargs: args(0)}), cls: uint8(in.Cls)}
 		}
 		if fn, ok := c.p.byName[in.Callee]; ok {
-			return instr{op: opCallFn, costK: costs{costZero}, dst: dst,
+			return instr{op: opCallFn, dst: dst,
 				cold: fc.addCold(coldOp{fn: fn, name: in.Callee, xargs: args(0)}), cls: uint8(in.Cls)}
 		}
-		return instr{op: opCallUndefined, costK: costs{costZero}, cold: fc.addCold(coldOp{name: in.Callee})}
+		return instr{op: opCallUndefined, cold: fc.addCold(coldOp{name: in.Callee})}
 
 	case ir.OpBr:
-		return instr{op: opBr, costK: costs{costBranch}, target: c.blockRef(in.Target)}
+		return instr{op: opBr, target: c.blockRef(in.Target)}
 
 	case ir.OpCondBr:
-		return instr{op: opCondBr, costK: costs{costBranch}, a: arg(0),
+		return instr{op: opCondBr, a: arg(0),
 			target: c.blockRef(in.Then), elseT: c.blockRef(in.Else)}
 
 	case ir.OpRet:
 		if len(in.Args) > 0 {
-			return instr{op: opRet, costK: costs{costZero}, a: arg(0)}
+			return instr{op: opRet, a: arg(0)}
 		}
-		return instr{op: opRetVoid, costK: costs{costZero}}
+		return instr{op: opRetVoid}
 
 	case ir.OpUBCheck:
-		return instr{op: opUBCheck, costK: costs{costALU}, a: arg(0), b: arg(1), off: int64(in.Meta)}
+		return instr{op: opUBCheck, a: arg(0), b: arg(1), off: int64(in.Meta)}
 
 	case ir.OpMemset:
-		return instr{op: opMemset, costK: costs{costZero},
+		return instr{op: opMemset,
 			a: arg(0), b: arg(1), c: arg(2), scale: strideOr8(in.Scale)}
 
 	case ir.OpMemcpy:
-		return instr{op: opMemcpy, costK: costs{costZero},
+		return instr{op: opMemcpy,
 			a: arg(0), b: arg(1), c: arg(2), scale: strideOr8(in.Scale)}
 
 	case ir.OpVecLoad:
-		return instr{op: opVecLoad, costK: costs{costVecMem}, dst: dst, a: arg(0),
+		return instr{op: opVecLoad, dst: dst, a: arg(0),
 			cls: uint8(in.Cls), width: int32(in.Width)}
 
 	case ir.OpVecStore:
-		return instr{op: opVecStore, costK: costs{costVecMem}, a: arg(0), c: arg(1),
+		return instr{op: opVecStore, a: arg(0), c: arg(1),
 			cls: uint8(in.Cls), width: int32(in.Width)}
 
 	case ir.OpVecSplat:
-		return instr{op: opVecSplat, costK: costs{costALU}, dst: dst, a: arg(0), width: int32(in.Width)}
+		return instr{op: opVecSplat, dst: dst, a: arg(0), width: int32(in.Width)}
 
 	case ir.OpVecBin:
 		op := opVecBin
@@ -921,7 +954,7 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		default:
 			op = opVecBinI
 		}
-		return instr{op: op, costK: costs{costVecOp}, dst: dst, a: arg(0), b: arg(1),
+		return instr{op: op, dst: dst, a: arg(0), b: arg(1),
 			vecOp: uint8(in.VecOp), pred: uint8(in.Pred), cls: uint8(in.Cls), unsigned: in.Unsigned, width: int32(in.Width)}
 
 	case ir.OpVecReduce:
@@ -929,23 +962,57 @@ func (c *compiler) compileInstr(fc *fnCode, in *ir.Instr) instr {
 		if in.Cls.IsFloat() && in.VecOp == ir.OpAdd {
 			op = opVecReduceFAdd
 		}
-		return instr{op: op, costK: costs{costVecOp2}, dst: dst, a: arg(0),
+		return instr{op: op, dst: dst, a: arg(0),
 			vecOp: uint8(in.VecOp), cls: uint8(in.Cls), unsigned: in.Unsigned, width: int32(in.Width)}
 
 	case ir.OpVecIota:
-		return instr{op: opVecIota, costK: costs{costALU}, dst: dst, cls: uint8(in.Cls), width: int32(in.Width)}
+		return instr{op: opVecIota, dst: dst, cls: uint8(in.Cls), width: int32(in.Width)}
 
 	case ir.OpVecSelect:
-		return instr{op: opVecSelect, costK: costs{costVecOp}, dst: dst,
+		return instr{op: opVecSelect, dst: dst,
 			a: arg(0), b: arg(1), c: arg(2), width: int32(in.Width)}
 
 	case ir.OpVecCall:
-		return instr{op: opVecCall, costK: costs{costZero}, dst: dst,
+		return instr{op: opVecCall, dst: dst,
 			cold: fc.addCold(coldOp{name: in.Callee, xargs: args(0)}), width: int32(in.Width)}
 
 	default:
-		return instr{op: opUnhandled, costK: costs{costZero}, scale: int64(in.Op)}
+		return instr{op: opUnhandled, scale: int64(in.Op)}
 	}
+}
+
+// costKind is the cost kind the interpreter charges in: a load or store
+// through a direct scalar alloca is a register move, everything else
+// has the fixed cost of its op (opCost).
+func costKind(in *ir.Instr) uint8 {
+	switch {
+	case in.Op == ir.OpLoad || in.Op == ir.OpStore:
+		switch {
+		case ptrIsReg(in.Args[0]):
+			return costRegMove
+		case in.Op == ir.OpLoad:
+			return costMemLoad
+		}
+		return costMemStore
+	case int(in.Op) < len(opCost):
+		return opCost[in.Op]
+	}
+	return costZero
+}
+
+// opCost is each IR op's fixed cost kind: costZero where the cost is
+// data-dependent (calls, memset/memcpy, veccall) or nil (alloca, ret).
+var opCost = [...]uint8{
+	ir.OpGEP: costALUHalf, ir.OpConvert: costALUHalf,
+	ir.OpAdd: costALU, ir.OpSub: costALU, ir.OpMul: costALU,
+	ir.OpAnd: costALU, ir.OpOr: costALU, ir.OpXor: costALU, ir.OpShl: costALU, ir.OpShr: costALU,
+	ir.OpNeg: costALU, ir.OpNot: costALU, ir.OpCmp: costALU, ir.OpSelect: costALU,
+	ir.OpUBCheck: costALU, ir.OpVecSplat: costALU, ir.OpVecIota: costALU,
+	ir.OpDiv: costDiv, ir.OpRem: costDiv,
+	ir.OpBr: costBranch, ir.OpCondBr: costBranch,
+	ir.OpVecLoad: costVecMem, ir.OpVecStore: costVecMem,
+	ir.OpVecBin: costVecOp, ir.OpVecSelect: costVecOp,
+	ir.OpVecReduce: costVecOp2,
 }
 
 func strideOr8(s int) int64 {

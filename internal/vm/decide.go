@@ -30,7 +30,24 @@ const noneLeft = math.MaxInt32
 type instrInfo struct {
 	home  int32 // an alloca's register slot; -1 for none
 	flags uint8 // an alloca's allocaEscapes and allocaNoSlot bits
+	// rep holds the rep bits every sum stored to a small alloca has, and
+	// load the key (loadKey) its every load shares: compileFunc converts
+	// any other value it stores (see copies).
+	rep, load uint8
 }
+
+// Representation bits: what compile time knows of a value that a slot
+// load reads back.
+const (
+	// repInt: the value is never float-tagged, so a 64-bit load of it
+	// converts nothing.
+	repInt = 1 << iota
+	// repI32 and repU32: an integer in the signed or unsigned 32-bit
+	// range, which a signed or unsigned 32-bit load reads back unchanged.
+	repI32
+	repU32
+	repAll = repInt | repI32 | repU32
+)
 
 // Alloca flags.
 const (
@@ -62,7 +79,9 @@ func (c *compiler) startAllocas(f *ir.Func) {
 	}
 	c.info, c.farUses = c.info[:f.NumIDs()], c.farUses[:0]
 	for _, a := range c.allocas {
-		c.info[a.ID] = instrInfo{home: -1}
+		// A slot is zero before its first store, which every load reads
+		// back unchanged.
+		c.info[a.ID] = instrInfo{home: -1, rep: repAll, load: loadNone}
 	}
 }
 
@@ -87,6 +106,9 @@ func (c *compiler) classifyUse(in *ir.Instr, k int, x *ir.Instr) {
 			c.info[r.ID].flags |= allocaNoSlot
 		} else if !known {
 			c.farUses = append(c.farUses, in)
+		}
+		if x == r {
+			c.noteAccess(r, in)
 		}
 	case in.Op == ir.OpUBCheck || in.Op == ir.OpMustNotAlias:
 	case k == 0 && derives(in):
@@ -152,23 +174,36 @@ func (c *compiler) addr(v ir.Value) int32 {
 // isHome reports whether register r is a register slot.
 func (c *compiler) isHome(r int32) bool { return r >= c.firstHome && r < int32(c.fc.numRegs) }
 
-// slotForm is in's op in its register-slot form when the memory access
-// it starts with (or, for iadd_store, ends with) goes through a register
-// slot, otherwise in's op.
-func (c *compiler) slotForm(in *instr) opcode {
+// slotForm gives in, compiled from the IR instruction src, its
+// register-slot form when the memory access it starts with (or, for
+// iadd_store, ends with) goes through a register slot. A store to a slot
+// whose loads copy it (copies) converts the value as they would, unless
+// the value is already in that form.
+func (c *compiler) slotForm(in *instr, src *ir.Instr) {
 	switch {
 	case in.op == opLoad && c.isHome(in.a):
-		return opLoadSlot
+		in.op = opLoadSlot
 	case in.op == opStore && c.isHome(in.a):
-		return opStoreSlot
+		in.op = opStoreSlot
+		r := src.Args[0].(*ir.Instr)
+		if c.copies(r) && !c.fits(r, c.valueRep(src.Args[1], maxRepDepth)) {
+			cls, unsigned := ir.I64, false
+			if k := c.info[r.ID].load; k != loadInt {
+				cls, unsigned = ir.I32, k == loadU32
+			}
+			*in = instr{op: opStoreConvSlot, dst: in.a, a: in.b, cls: uint8(cls), unsigned: unsigned}
+		}
 	case in.op == opLoadConvGEP && c.isHome(in.a):
-		return opLoadConvGEPSlot
+		in.op = opLoadConvGEPSlot
 	case in.op == opLoadCmpBr && c.isHome(in.a):
-		return opLoadCmpBrSlot
+		in.op = opLoadCmpBrSlot
 	case in.op == opIAddStore && c.isHome(in.c):
-		return opIAddStoreSlot
+		in.op = opIAddStoreSlot
+	case in.op == opLoadConvGEPLoad && c.isHome(in.a):
+		in.op = opLoadConvGEPLoadSlot
+	case in.op == opLoadConvGEPStore && c.isHome(in.a):
+		in.op = opLoadConvGEPStoreSlot
 	}
-	return in.op
 }
 
 // dominates reports whether def has executed, in the current activation,
@@ -299,4 +334,197 @@ func (c *compiler) linkChecks(code []instr, pcIR []*ir.Instr) {
 		}
 		in.target, in.elseT = next, last
 	}
+}
+
+// maxRepDepth bounds valueRep's walk through integer arithmetic.
+const maxRepDepth = 3
+
+// valueRep returns the rep bits that hold for every value v takes at
+// run time. Only what its op guarantees counts: a parameter or a call
+// result may carry any tag, and integer arithmetic yields a float tag
+// when an operand carries one.
+func (c *compiler) valueRep(v ir.Value, depth int) uint8 {
+	switch x := v.(type) {
+	case *ir.Const:
+		if x.Cls.IsFloat() {
+			return 0
+		}
+		return repInt | rangeRep(x.I)
+	case *ir.Global, *ir.FuncRef:
+		return repInt
+	case *ir.Instr:
+		if c.regOf(x) < 0 {
+			return 0
+		}
+		switch x.Op {
+		case ir.OpCmp:
+			return repAll
+		case ir.OpGEP, ir.OpAlloca:
+			return repInt
+		case ir.OpLoad, ir.OpConvert, ir.OpNot:
+			if !x.Cls.IsFloat() {
+				return repInt | classRep(x.Cls, x.Unsigned)
+			}
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
+			if !x.Cls.IsFloat() && depth > 0 && len(x.Args) == 2 &&
+				c.valueRep(x.Args[0], depth-1)&c.valueRep(x.Args[1], depth-1)&repInt != 0 {
+				return repInt | classRep(x.Cls, x.Unsigned)
+			}
+		case ir.OpSelect:
+			if depth > 0 && len(x.Args) == 3 {
+				return c.valueRep(x.Args[1], depth-1) & c.valueRep(x.Args[2], depth-1)
+			}
+		}
+	}
+	return 0
+}
+
+// classRep is the range bits of an integer truncated to cls.
+func classRep(cls ir.Class, unsigned bool) uint8 {
+	switch {
+	case cls == ir.I8 || cls == ir.I16:
+		if unsigned {
+			return repI32 | repU32
+		}
+		return repI32
+	case cls == ir.I32 && unsigned:
+		return repU32
+	case cls == ir.I32:
+		return repI32
+	}
+	return 0
+}
+
+// rangeRep is the range bits of the integer x.
+func rangeRep(x int64) uint8 {
+	var r uint8
+	if x == int64(int32(x)) {
+		r |= repI32
+	}
+	if x == int64(uint32(x)) {
+		r |= repU32
+	}
+	return r
+}
+
+// Load keys: the conversion a slot load applies to what it reads.
+const (
+	loadNone  = iota // no load yet
+	loadInt          // 64-bit integer or pointer
+	loadI32          // signed 32-bit
+	loadU32          // unsigned 32-bit
+	loadMixed        // loads of more than one key, or of another class
+)
+
+// loadKey is the load key of a load of class cls.
+func loadKey(cls ir.Class, unsigned bool) uint8 {
+	switch {
+	case cls == ir.I64 || cls == ir.Ptr:
+		return loadInt
+	case cls == ir.I32 && unsigned:
+		return loadU32
+	case cls == ir.I32:
+		return loadI32
+	}
+	return loadMixed
+}
+
+// noteAccess records what the load or store in does to the small alloca
+// r it addresses: a load's key, and the rep bits of a stored sum, which
+// may fuse into iadd_store and so cannot be converted (see copies).
+func (c *compiler) noteAccess(r, in *ir.Instr) {
+	info := &c.info[r.ID]
+	switch {
+	case in.Op == ir.OpLoad:
+		if k := loadKey(in.Cls, in.Unsigned); info.load == loadNone {
+			info.load = k
+		} else if info.load != k {
+			info.load = loadMixed
+		}
+	case len(in.Args) > 1:
+		if x, ok := in.Args[1].(*ir.Instr); ok && x.Op == ir.OpAdd {
+			info.rep &= c.valueRep(x, maxRepDepth)
+		}
+	}
+}
+
+// copies reports whether every load of the slot alloca r reads its slot's
+// value back unchanged. That holds when all of them share one load key
+// and every value stored to r is already in that key's form: the stored
+// sums by their rep bits, every other value by conversion, because its
+// slot store then converts what it stores as the loads would (slotForm).
+func (c *compiler) copies(r *ir.Instr) bool {
+	k := c.info[r.ID].load
+	return k != loadNone && k != loadMixed && c.fits(r, c.info[r.ID].rep)
+}
+
+// fits reports whether values of rep bits rep are in the form the loads
+// of the slot alloca r read back, so a store of one needs no conversion.
+func (c *compiler) fits(r *ir.Instr, rep uint8) bool {
+	switch c.info[r.ID].load {
+	case loadI32:
+		return rep&(repInt|repI32) == repInt|repI32
+	case loadU32:
+		return rep&(repInt|repU32) == repInt|repU32
+	}
+	return rep&repInt != 0
+}
+
+// seal finishes the last pc of the block being compiled, in a function
+// with register slots, once no more instructions can fuse into it. An
+// access through a register slot takes its slot form (slotForm), and
+// then each slot load right before the pc, in its block, folds into it
+// when the pc is the load's only reader, on the load's source line, may
+// take one more fold (maxFolds), and the load copies its slot (copies):
+// the pc names the slot register in place of the load's and takes the
+// load's step as its first, so nothing executes the load. The reader
+// runs right after the load would have, so it sees the same slot value,
+// and it reads its operands before it writes a slot.
+func (c *compiler) seal() {
+	n := len(c.code)
+	if n <= c.blockStart {
+		return
+	}
+	c.slotForm(&c.code[n-1], c.pcIR[n-1])
+	for folded := 0; n-2 >= c.blockStart && c.foldInto(n-2, n-1, folded); folded++ {
+		// The merged pc keeps the load's first step.
+		c.code[n-2], c.pcIR[n-2] = c.code[n-1], c.pcIR[n-1]
+		n--
+		c.code, c.pcIR, c.steps = c.code[:n], c.pcIR[:n], c.steps[:n]
+	}
+}
+
+// foldInto folds the pc at l, if it is a slot load that may fold, into
+// the pc at r, which has folded the given number of loads already,
+// rewriting r's operands, and reports whether it did.
+func (c *compiler) foldInto(l, r, folded int) bool {
+	ld, in := c.pcIR[l], &c.code[r]
+	if c.code[l].op != opLoadSlot || c.pcIR[r] == nil || c.uses[ld.ID] != 1 ||
+		folded >= int(maxFolds[in.op]) || !sameLine(ld, c.pcIR[r]) ||
+		!c.copies(ld.Args[0].(*ir.Instr)) {
+		return false
+	}
+	from, to := c.code[l].dst, c.code[l].a
+	found := false
+	for _, f := range []*int32{&in.a, &in.b, &in.c} {
+		if *f == from {
+			*f, found = to, true
+		}
+	}
+	return found
+}
+
+// fallThrough makes the br that closes the block whose code starts at pc
+// start a trailing step of the pc before it, when it jumps to next, the
+// block laid out after it, and both lie on one source line. The pc then
+// falls into next's code; the br executes nothing, but is charged, so
+// the segment runs on into next.
+func (c *compiler) fallThrough(start int, next *ir.Block) {
+	n := len(c.code)
+	if n-2 < start || c.code[n-1].op != opBr || c.code[n-1].target != int32(next.ID) ||
+		!trailing[c.code[n-2].op] || !sameLine(c.pcIR[n-2], c.pcIR[n-1]) {
+		return
+	}
+	c.code, c.pcIR, c.steps = c.code[:n-1], c.pcIR[:n-1], c.steps[:n-1]
 }

@@ -262,12 +262,15 @@ func gemmSanitized(t *testing.T) *ir.Module {
 }
 
 // TestGemmSanitizeShapes pins how much of gemm's sanitized run the
-// compile-time decisions take: 36 of its 45 checks are decided, and its
-// slot allocas carry 79 loads and 32 stores. A change that loses them
-// fails here, not only in the benchmark.
+// compile-time decisions take: 36 of its 45 checks are decided, its
+// slot allocas carry 79 loads and 32 stores, 32 of the loads fold into
+// the pc after them, 8 brs trail the pc before them and 24 pcs execute
+// four or more IR instructions. A change that loses them fails here,
+// not only in the benchmark.
 func TestGemmSanitizeShapes(t *testing.T) {
 	shapes := vm.CodeShapes(vm.Compile(gemmSanitized(t)))
-	want := map[string]int{"ubcheck": 45, "ubcheck-decided": 36, "slot-load": 79, "slot-store": 32}
+	want := map[string]int{"ubcheck": 45, "ubcheck-decided": 36, "slot-load": 79, "slot-store": 32,
+		"slot-fold": 32, "fall-br": 8, "4+-step": 24}
 	for name, n := range want {
 		if shapes[name] != n {
 			t.Errorf("%s: %d pcs, want %d (shapes %v)", name, shapes[name], n, shapes)

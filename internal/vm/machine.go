@@ -60,8 +60,9 @@ type Machine struct {
 	MaxSteps int64
 	steps    int64
 	// tripFit is set while callFn runs a segment that overruns MaxSteps:
-	// the number of a chain's leading halves that fit at the tripping pc,
-	// plus one. It is 0 otherwise, and callFn reads it only when it
+	// the number of steps that fit at the tripping pc, plus one, or -1
+	// when the tripping step is the trailing br of the pc before (see
+	// tripPoint). It is 0 otherwise, and callFn reads it only when it
 	// leaves a segment without a branch.
 	tripFit int
 
@@ -192,9 +193,8 @@ func New(p *Program, costs interp.CostModel) *Machine {
 		pre := prefix[: len(fc.code)+1 : len(fc.code)+1]
 		prefix = prefix[len(pre):]
 		for pc := range fc.code {
-			in := &fc.code[pc]
 			c := m.pen[i] * int64(fc.steps[pc+1]-fc.steps[pc])
-			for _, k := range in.costK {
+			for _, k := range fc.kinds[fc.steps[pc]:fc.steps[pc+1]] {
 				c += m.costTab[k]
 			}
 			pre[pc+1] = pre[pc] + c
@@ -432,6 +432,13 @@ func cloneVec(v Val) Val {
 // end. A new op goes to execCold unless its share of the dispatch mix
 // pays for a hot case, which costs every other handler (DESIGN.md §9).
 //
+// A pc executes one IR instruction or several: a fused chain, with up
+// to two slot loads folded ahead of it and a fall-through br trailing
+// it (compiler.seal, fallThrough). A folded load and a trailing br have
+// no handler: the pc reads the slot register the load would have read,
+// and falls into the next block's code where the br would have jumped.
+// Each still counts as a step of the pc, with its own cost kind.
+//
 // Accounting is charged per segment, not per dispatch. On entering a
 // segment (a block, or the pc after a call) the loop adds the segment's
 // steps and milli-cycles from the prefix sums to the Machine's steps,
@@ -444,7 +451,8 @@ func cloneVec(v Val) Val {
 // equality:
 //   - a segment that would overrun MaxSteps is charged only up to the
 //     tripping step, runs up to it, and traps there (tripFit, trip; a
-//     fused pair that trips on its second half pays for its first);
+//     pc that trips on a later step pays for the steps before it, and
+//     one that trips on its trailing br has run);
 //   - a handler error un-charges the rest of its segment (fail);
 //   - with profiling on every pc is its own segment, so delta sampling
 //     sees each dispatch.
@@ -476,12 +484,10 @@ seg:
 		if m.profCells != nil {
 			end = pc + 1
 		}
-		fit := 0
 		if m.steps+int64(stepPre[end]-stepPre[pc]) > m.MaxSteps {
-			end, fit = tripPoint(stepPre, pc, end, m.MaxSteps-m.steps)
-			m.tripFit = fit + 1
+			end, m.tripFit = tripPoint(fc, pc, end, m.MaxSteps-m.steps)
 		}
-		if m.profCells != nil && (stepPre[end] > stepPre[pc] || fit > 0) {
+		if m.profCells != nil && (stepPre[end] > stepPre[pc] || m.tripFit > 1) {
 			// Delta sampling: everything added since the previous dispatch
 			// (its costs, handler-internal additions, a callee's CallBase)
 			// belongs to the previously executed pc.
@@ -591,8 +597,9 @@ seg:
 					regs[in.dst] = cloneVec(regs[in.c])
 				}
 
-			case opConvert, opLoadSlot:
-				// A slot read converts by value exactly as a cell read does.
+			case opConvert, opLoadSlot, opStoreConvSlot:
+				// A slot read converts by value exactly as a cell read does,
+				// and a converting slot store as every load of its slot.
 				v := &regs[in.a]
 				if isFloat(in.cls) {
 					regs[in.dst] = Val{F: fl(v), Fl: true}
@@ -676,6 +683,35 @@ seg:
 					x = cell{I: trunc(in.cls2, x.i64(), in.unsigned2)}
 				}
 				regs[in.dst] = Val{I: gepAt(in, x.i64(), iv(&regs[in.b]))}
+
+			case opLoadConvGEPLoad, opLoadConvGEPLoadSlot, opLoadConvGEPStore, opLoadConvGEPStoreSlot:
+				// The four-step chains share one case: four cases of their
+				// own grew callFn's frame and code by a fifth and ran no
+				// faster (EXPERIMENTS.md).
+				var x cell
+				if in.op == opLoadConvGEPLoad || in.op == opLoadConvGEPStore {
+					x = m.cellAt(iv(&regs[in.a]))
+				} else {
+					x = scalar(&regs[in.a])
+				}
+				if isFloat(in.cls) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls, x.i64(), in.unsigned)}
+				}
+				if isFloat(in.cls2) {
+					x = cell{F: x.f64(), Fl: true}
+				} else {
+					x = cell{I: trunc(in.cls2, x.i64(), in.unsigned2)}
+				}
+				p := gepAt(in, x.i64(), iv(&regs[in.b]))
+				if in.op == opLoadConvGEPStore || in.op == opLoadConvGEPStoreSlot {
+					m.setCell(p, scalar(&regs[in.c]))
+				} else if x = m.cellAt(p); isFloat(in.cls3) {
+					regs[in.dst] = Val{F: x.f64(), Fl: true}
+				} else {
+					regs[in.dst] = Val{I: trunc(in.cls3, x.i64(), in.unsigned3)}
+				}
 
 			case opIAddStore:
 				a, b := &regs[in.a], &regs[in.b]
@@ -796,15 +832,22 @@ seg:
 }
 
 // trip traps at pc, where the segment head cut a segment that overran
-// the step budget. The halves of a tripping chain that fit retire and
-// pay their cost kinds, but nothing executes: each half but a chain's
-// last only writes a dead register. The tripping step counts as a step
-// but retires nothing, exactly like the interpreter's pre-retire budget
-// check.
+// the step budget. The steps of a tripping pc that fit (its folded slot
+// loads and a chain's leading halves) retire and pay their cost kinds,
+// but nothing executes: each only writes a dead register, or none. The
+// tripping step counts as a step but retires nothing, exactly like the
+// interpreter's pre-retire budget check. When it is the trailing br of
+// the pc before, that pc has run and been charged whole: the br gives
+// back its cost and retire.
 func (m *Machine) trip(fc *fnCode, pc int) error {
 	fit := m.tripFit - 1
 	m.tripFit = 0
-	for _, k := range fc.code[pc].costK[:fit] {
+	if fit < 0 { // tripFit -1: the pc before pc ran, its trailing br tripped
+		m.cycles -= m.costTab[costBranch] + m.pen[fc.idx]
+		m.Executed--
+		return fmt.Errorf("vm: step budget exceeded")
+	}
+	for _, k := range fc.kinds[fc.steps[pc]:][:fit] {
 		m.cycles += m.costTab[k] + m.pen[fc.idx]
 	}
 	m.Executed += int64(fit)
@@ -1244,15 +1287,22 @@ func (m *Machine) ubcheckRun(fc *fnCode, regs []Val, pc, end int) int {
 }
 
 // tripPoint finds where a step budget with room for r more steps runs
-// out inside the segment [s, end): the pc t whose dispatch would take the
-// tripping step. fit counts the leading halves of a fused chain at t
-// that still fit, 0 for a single instruction.
-func tripPoint(stepPre []int32, s, end int, r int64) (t, fit int) {
-	t = s
+// out inside the segment [s, end) of fc: the pc t whose dispatch would
+// take the tripping step. It returns the segment's new end and the
+// Machine's tripFit: t and one more than the steps of t that still fit;
+// or, when the tripping step is t's trailing br, t+1 and -1, so that t
+// runs before trip gives the br back.
+func tripPoint(fc *fnCode, s, end int, r int64) (int, int) {
+	stepPre := fc.steps
+	t := s
 	for t < end && int64(stepPre[t+1]-stepPre[s]) <= r {
 		t++
 	}
-	return t, int(r - int64(stepPre[t]-stepPre[s]))
+	fit := int(r - int64(stepPre[t]-stepPre[s]))
+	if t < end && fit == int(stepPre[t+1]-stepPre[t])-1 && fc.shapeAt(t).br {
+		return t + 1, -1
+	}
+	return t, fit + 1
 }
 
 // scalar is a register value as a memory cell holds it: the payload its

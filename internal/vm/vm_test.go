@@ -284,18 +284,20 @@ int main() {
 }
 
 // TestInstrSize pins the dispatched record's size: every handler reads
-// it, so it must stay within 72 bytes (nine words) as chains add fields.
+// it, so it stays at 64 bytes (eight words, one cache line) as chains add
+// fields; per-step data such as cost kinds lives in fnCode.
 func TestInstrSize(t *testing.T) {
-	if n := unsafe.Sizeof(instr{}); n > 72 {
-		t.Errorf("instr is %d bytes, want at most 72", n)
+	if n := unsafe.Sizeof(instr{}); n != 64 {
+		t.Errorf("instr is %d bytes, want 64", n)
 	}
 }
 
 // opsOf returns the op names of a compiled function's code.
 func opsOf(p *Program, fn string) []string {
 	var ops []string
-	for _, in := range p.byName[fn].code {
-		ops = append(ops, opTable[in.op].name)
+	fc := p.byName[fn]
+	for pc := range fc.code {
+		ops = append(ops, fc.pcName(pc))
 	}
 	return ops
 }
